@@ -1,126 +1,80 @@
-"""Hot table-scan kernels.
+"""Table-scan kernels for validating Cayley tables, homomorphisms and actions.
 
-The O(n^3) associativity scan and the O(n^2) homomorphism / action scans
-dominate validation time near the order cap, so they are compiled with
-numba when available.  Set BFLY_PURE_NUMPY=1 to force the chunked numpy
-fallback (used automatically when numba is not installed); results are
-bit-identical on both paths.
+Each kernel returns the first violating witness it finds, or None, and is
+deterministic.  The associativity check is Light's test (Clifford & Preston,
+*The Algebraic Theory of Semigroups* I, 1961, §1.2): a finite magma is
+associative iff (x*s)*y == x*(s*y) for all x, y and every s in a set S that
+generates it as a magma.  That costs O(n^2 |S|) instead of O(n^3); for a
+group |S| <= log2 n.  The homomorphism and action scans are O(n^2) and
+O(|G|^2 |X|) numpy comparisons.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("BFLY_PURE_NUMPY", "") not in ("", "0")
-
-try:  # pragma: no cover - exercised via env flag in the benchmark
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
+_CHUNK_CELLS = 1 << 18  # bound on the entries of one comparison block
 
 
-@njit(cache=True)
-def _assoc_violation_jit(table):
+def _magma_generators(table: np.ndarray) -> list[int]:
+    """Greedy generating set of the magma: least element outside the closure.
+
+    The closure is taken under the table's own operation only (no inverses),
+    so it is valid before the table is known to be a group.  Each element
+    enters the closure once and is multiplied by the closure on both sides,
+    so the whole pass costs O(n^2).
+    """
     n = table.shape[0]
+    closed = np.zeros(n, dtype=bool)
+    gens: list[int] = []
     for a in range(n):
-        for b in range(n):
-            ab = table[a, b]
-            for c in range(n):
-                if table[ab, c] != table[a, table[b, c]]:
-                    return a, b, c
-    return -1, -1, -1
-
-
-def _assoc_violation_np(table):
-    n = table.shape[0]
-    # chunk over the first index to keep the n^3 intermediate bounded
-    step = max(1, (1 << 22) // max(1, n * n))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        left = table[table[lo:hi], :]       # (chunk, n, n): (a+b)+c
-        right = table[lo:hi][:, table]      # (chunk, n, n): a+(b+c)
-        bad = left != right
-        if bad.any():
-            a, b, c = np.argwhere(bad)[0]
-            return int(a) + lo, int(b), int(c)
-    return -1, -1, -1
+        if closed[a]:
+            continue
+        gens.append(a)
+        closed[a] = True
+        new = np.asarray([a])
+        while new.size:
+            members = np.flatnonzero(closed)
+            fresh = np.zeros(n, dtype=bool)
+            fresh[table[np.ix_(new, members)]] = True
+            fresh[table[np.ix_(members, new)]] = True
+            fresh &= ~closed
+            closed |= fresh
+            new = np.flatnonzero(fresh)
+    return gens
 
 
 def assoc_violation(table: np.ndarray):
-    """First (a, b, c) with (a+b)+c != a+(b+c), or None."""
-    if HAVE_NUMBA:
-        a, b, c = _assoc_violation_jit(table)
-    else:
-        a, b, c = _assoc_violation_np(table)
-    return None if a < 0 else (a, b, c)
-
-
-@njit(cache=True)
-def _hom_violation_jit(dom_table, cod_table, m):
-    n = dom_table.shape[0]
-    for a in range(n):
-        for b in range(n):
-            if m[dom_table[a, b]] != cod_table[m[a], m[b]]:
-                return a, b
-    return -1, -1
-
-
-def _hom_violation_np(dom_table, cod_table, m):
-    bad = m[dom_table] != cod_table[np.ix_(m, m)]
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        return int(a), int(b)
-    return -1, -1
+    """Some (a, b, c) with (a+b)+c != a+(b+c), or None; b is a generator."""
+    n = table.shape[0]
+    table = table.astype(np.min_scalar_type(n - 1))    # narrow entries gather faster
+    gens = np.asarray(_magma_generators(table))
+    step = max(1, _CHUNK_CELLS // (n * n))
+    for lo in range(0, len(gens), step):
+        s = gens[lo:lo + step]
+        left = table[table[:, s]]           # (n, |s|, n): (x+s)+y
+        right = table[:, table[s]]          # (n, |s|, n): x+(s+y)
+        bad = left != right
+        if bad.any():
+            x, k, y = np.argwhere(bad)[0]
+            return int(x), int(s[k]), int(y)
+    return None
 
 
 def hom_violation(dom_table: np.ndarray, cod_table: np.ndarray, m: np.ndarray):
     """First (a, b) with m[a+b] != m[a]+m[b], or None."""
-    if HAVE_NUMBA:
-        a, b = _hom_violation_jit(dom_table, cod_table, m)
-    else:
-        a, b = _hom_violation_np(dom_table, cod_table, m)
-    return None if a < 0 else (a, b)
+    bad = m[dom_table] != cod_table[np.ix_(m, m)]
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
+        return int(a), int(b)
+    return None
 
 
-@njit(cache=True)
-def _action_compat_violation_jit(actor_table, act):
-    ng = actor_table.shape[0]
-    nx = act.shape[1]
-    for g in range(ng):
-        for h in range(ng):
-            gh = actor_table[g, h]
-            for x in range(nx):
-                if act[gh, x] != act[g, act[h, x]]:
-                    return g, h, x
-    return -1, -1, -1
-
-
-def _action_compat_violation_np(actor_table, act):
-    ng = actor_table.shape[0]
-    for g in range(ng):
+def action_compat_violation(actor_table: np.ndarray, act: np.ndarray):
+    """First (g, h, x) with (g+h)*x != g*(h*x), or None."""
+    for g in range(actor_table.shape[0]):
         lhs = act[actor_table[g], :]           # (ng, nx): (g+h)*x
         rhs = act[g][act]                      # (ng, nx): g*(h*x)
         bad = lhs != rhs
         if bad.any():
             h, x = np.argwhere(bad)[0]
             return g, int(h), int(x)
-    return -1, -1, -1
-
-
-def action_compat_violation(actor_table: np.ndarray, act: np.ndarray):
-    """First (g, h, x) with (g+h)*x != g*(h*x), or None."""
-    if HAVE_NUMBA:
-        g, h, x = _action_compat_violation_jit(actor_table, act)
-    else:
-        g, h, x = _action_compat_violation_np(actor_table, act)
-    return None if g < 0 else (g, h, x)
+    return None

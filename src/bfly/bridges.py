@@ -18,7 +18,7 @@ from .cohomology import (
     cohomology,
     is_cocycle,
 )
-from .errors import NotACocycle
+from .errors import NotACocycle, require
 from .extensions import AbelianExtension, build_extension
 from .groups import build_group, build_hom
 
@@ -50,7 +50,7 @@ def extension_from_2cocycle(f: Cochain) -> AbelianExtension:
         middle, c_grp, [c for _ in range(nb) for c in range(nc)]
     )
     ext = build_extension(kappa, gamma)
-    assert ext.module == m
+    require(ext.module == m)
     return ext
 
 
@@ -89,7 +89,7 @@ def cocycle_of_extension(
             )
             vals[c1, c2] = in_b[defect]
     f = build_cochain(m, 2, vals)
-    assert is_cocycle(f)
+    require(is_cocycle(f))
     return f
 
 
@@ -142,7 +142,7 @@ def cocycle_of_crossed_extension(
                 z = e2.sub(z, g_of(c1, c2))
                 vals[c1, c2, c3] = in_b[z]
     f = build_cochain(m, 3, vals)
-    assert is_cocycle(f)
+    require(is_cocycle(f))
     return f
 
 

@@ -43,6 +43,7 @@ from .errors import (
     NotFlippable,
     NotPi1Shape,
     TypeMismatch,
+    require,
 )
 from .extensions import AbelianExtension, build_extension
 from .groups import (
@@ -483,7 +484,7 @@ def butterfly_beta(b: Butterfly) -> CModuleMorphism:
 
     lhs = compose(b.kappa, b.dom.j)
     rhs = compose(compose(b.iota, b.cod.j), negate(beta).hom)
-    assert lhs == rhs, "beta postcondition kappa.j = iota.j'.(-beta) failed"
+    require(lhs == rhs, "beta postcondition kappa.j = iota.j'.(-beta) failed")
     return beta
 
 
@@ -554,7 +555,7 @@ def morphism_to_butterfly(m: XExtMorphism) -> Butterfly:
          for xp in ep.e2.elements() for g in e.e1.elements()],
     )
     bf = build_butterfly(e, ep, sd.group, kappa, iota, delta, gamma)
-    assert butterfly_beta(bf) == m.beta
+    require(butterfly_beta(bf) == m.beta)
     return bf
 
 
@@ -630,7 +631,7 @@ def find_butterfly_iso(b1: Butterfly, b2: Butterfly) -> ButterflyIso | None:
     if not search():
         return None
     sigma = build_hom(f1, f2, sig)
-    assert (
+    require(
         compose(sigma, b1.iota) == b2.iota
         and compose(sigma, b1.kappa) == b2.kappa
         and compose(b2.gamma, sigma) == b1.gamma
@@ -671,7 +672,7 @@ def phi(ext: AbelianExtension) -> Butterfly:
         delta=ext.quotient_arrow,
         gamma=ext.quotient_arrow,
     )
-    assert butterfly_beta(bf).is_identity()
+    require(butterfly_beta(bf).is_identity())
     return bf
 
 
@@ -762,7 +763,7 @@ def inverse_witness(e: CrossedExtension) -> Butterfly:
                 "tensor-to-groupoid comparison not constant on cosets"
             )
     v2 = build_hom(t2, k_sub.group, v2_map)
-    assert v2.is_injective() and v2.is_surjective()
+    require(v2.is_injective() and v2.is_surjective())
 
     kappa = compose(k_sub.embedding, v2)
     iota = build_hom(
@@ -772,8 +773,8 @@ def inverse_witness(e: CrossedExtension) -> Butterfly:
         tensored, unit, sd,
         kappa=kappa, iota=iota, delta=cd, gamma=pc,
     )
-    assert is_flippable(bf)
-    assert butterfly_beta(bf).is_identity()
+    require(is_flippable(bf))
+    require(butterfly_beta(bf).is_identity())
     return bf
 
 

@@ -146,19 +146,17 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, dest):
             setattr(args, dest, default)
 
+    from .groups import get_order_cap, order_cap
+
     try:
-        return _dispatch(args)
+        with order_cap(get_order_cap() if args.cap is None else args.cap):
+            return _dispatch(args)
     except (BflyError, FileNotFoundError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
 
 def _dispatch(args) -> int:
-    if args.cap is not None:
-        from .groups import set_order_cap
-
-        set_order_cap(args.cap)
-
     cmd = args.command
     if cmd == "validate":
         obj = _load(args, args.doc)

@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .actions import CModule
-from .errors import NotACocycle, SizeCap
-from .groups import FiniteGroup, GroupHom, build_group, build_hom, find_isomorphisms
+from .errors import LawViolation, NotACocycle, SizeCap, require
+from .groups import FiniteGroup, GroupHom, _group, direct_product, find_isomorphisms
 from .snf import column_lattice_basis, integer_kernel, smith_normal_form, solve_integer
 
 BRUTE_FORCE_CAP = 1 << 20
@@ -25,8 +25,8 @@ _SOLVER_UNKNOWN_CAP = 4096
 
 
 def cyclic_group(n: int, name: str = "") -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return build_group(table, name or f"Z{n}")
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
+    return _group(table, name or f"Z{n}")
 
 
 def _divisor_chains(n: int) -> list[tuple[int, ...]]:
@@ -58,23 +58,17 @@ class CyclicDecomposition:
 
 
 def _mixed_radix_group(factors: tuple[int, ...]) -> FiniteGroup:
-    if not factors:
-        return cyclic_group(1)
-    sizes = list(factors)
-    n = int(np.prod(sizes))
-    coords = list(itertools.product(*[range(d) for d in sizes]))
-    idx = {c: i for i, c in enumerate(coords)}
-    table = [
-        [idx[tuple((a + b) % d for a, b, d in zip(x, y, sizes))] for y in coords]
-        for x in coords
-    ]
-    return build_group(table)
+    """Z_{d1} x ... x Z_{dk}, coordinate tuples in lexicographic order."""
+    group = cyclic_group(1)
+    for d in factors:
+        group = direct_product(group, cyclic_group(d)).group
+    return group
 
 
 @lru_cache(maxsize=None)
 def _decompose_cached(table_bytes: bytes, order: int) -> CyclicDecomposition:
     table = np.frombuffer(table_bytes, dtype=np.int64).reshape(order, order)
-    b = build_group(table)
+    b = _group(table)
     for chain in _divisor_chains(order):
         model = _mixed_radix_group(chain)
         isos = find_isomorphisms(model, b, limit=1)
@@ -88,7 +82,7 @@ def _decompose_cached(table_bytes: bytes, order: int) -> CyclicDecomposition:
                 to_vec[elem, : len(chain)] = c
                 from_vec[c] = elem
             return CyclicDecomposition(chain, to_vec, from_vec)
-    raise AssertionError("no cyclic decomposition found (group not abelian?)")
+    raise LawViolation("no cyclic decomposition found (group not abelian?)")
 
 
 def cyclic_decomposition(b: FiniteGroup) -> CyclicDecomposition:
@@ -140,7 +134,7 @@ def zero_cochain(module: CModule, degree: int) -> Cochain:
 
 
 def add_cochains(f: Cochain, g: Cochain) -> Cochain:
-    assert f.degree == g.degree and f.module == g.module
+    require(f.degree == g.degree and f.module == g.module)
     b = f.module.coeff
     return Cochain(f.degree, f.module, b.table[f.values, g.values])
 
@@ -286,7 +280,7 @@ class CohomologyGroup:
             cached = smith_normal_form(self._basis)
             object.__setattr__(self, "_basis_snf", cached)
         y = solve_integer(self._basis, self._vector(f), dec=cached)
-        assert y is not None, "cocycle outside the computed cocycle lattice"
+        require(y is not None, "cocycle outside the computed cocycle lattice")
         coords = tuple(
             int(y[i]) % s
             for i, s in enumerate(self._sdiag)
@@ -318,7 +312,7 @@ class CocycleClass:
         return all(c == 0 for c in self.coords)
 
     def __add__(self, other: "CocycleClass") -> "CocycleClass":
-        assert self.group is other.group or self.group == other.group
+        require(self.group is other.group or self.group == other.group)
         coords = tuple(
             (a + b) % f
             for a, b, f in zip(self.coords, other.coords, self.group.factors)
@@ -384,7 +378,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     col_mods = np.diag(np.array(_moduli(dec, len(tuples)), dtype=object))
     coc_gens = np.concatenate([proj, col_mods], axis=1)
     basis = column_lattice_basis(coc_gens)
-    assert basis.shape == (n_unknowns, n_unknowns)
+    require(basis.shape == (n_unknowns, n_unknowns))
 
     d_down, _, _ = _coboundary_matrix(module, dec, degree - 1)
     cob_gens = np.concatenate([d_down, col_mods], axis=1)
@@ -393,7 +387,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     x_cols = []
     for j in range(cob_gens.shape[1]):
         y = solve_integer(basis, cob_gens[:, j])
-        assert y is not None, "coboundary outside the cocycle lattice"
+        require(y is not None, "coboundary outside the cocycle lattice")
         x_cols.append(y)
     x = np.stack(x_cols, axis=1)
     dec_x = smith_normal_form(x)
@@ -401,7 +395,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
         int(dec_x.s[i, i]) if i < min(dec_x.s.shape) else 0
         for i in range(n_unknowns)
     )
-    assert all(s > 0 for s in sdiag), "coboundary lattice not full rank"
+    require(all(s > 0 for s in sdiag), "coboundary lattice not full rank")
     adapted = basis @ dec_x.uinv
     factors = tuple(s for s in sdiag if s > 1)
     group = _mixed_radix_group(factors)
@@ -508,7 +502,7 @@ def cohomology_brute(module: CModule, degree: int) -> int:
         lower = _candidate_matrix(module, degree - 1)
         images = _coboundary_rows(module, degree - 1, lower)
         n_cobs = len(np.unique(images, axis=0))
-    assert n_cocycles % n_cobs == 0
+    require(n_cocycles % n_cobs == 0)
     return n_cocycles // n_cobs
 
 
@@ -541,5 +535,5 @@ def z1(module: CModule) -> Z1Result:
         [pos[tuple(b_grp.add(a, b) for a, b in zip(p1, p2))] for p2 in maps]
         for p1 in maps
     ]
-    group = build_group(table)
+    group = _group(table)   # pointwise sum; the zero cocycle comes first
     return Z1Result(group=group, cocycles=tuple(maps))

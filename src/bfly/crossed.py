@@ -19,6 +19,7 @@ from .errors import (
     NotExactAtE1,
     PeifferViolation,
     PreCrossedViolation,
+    require,
 )
 from .groups import (
     FiniteGroup,
@@ -105,7 +106,7 @@ def associated_groupoid(xm: CrossedModule) -> InternalGroupoid:
     ker_c_section = sd.inj_normal
     kd = np.asarray([e2.neg(x) * ng + bnd(x) for x in e2.elements()])
     ker_d_section = build_hom(e2, total, kd)
-    assert all(d(ker_d_section(x)) == 0 for x in e2.elements())
+    require(all(d(ker_d_section(x)) == 0 for x in e2.elements()))
     return InternalGroupoid(
         total=total,
         d=d,

@@ -9,6 +9,16 @@ class BflyError(Exception):
     """Base class for all library errors."""
 
 
+class LawViolation(BflyError):
+    """A law or invariant that held by theory failed on actual data."""
+
+
+def require(cond, msg: str = "") -> None:
+    """Raise LawViolation(msg) unless cond; unlike assert, kept under -O."""
+    if not cond:
+        raise LawViolation(msg)
+
+
 # --- group construction ---------------------------------------------------
 
 class MalformedTable(BflyError):

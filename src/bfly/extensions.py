@@ -27,6 +27,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupHom,
+    _group,
     build_hom,
     compose,
     hom_from_cosets,
@@ -248,9 +249,8 @@ def pi1_group(module: CModule) -> tuple[FiniteGroup, list[ExtensionMorphism]]:
         [key[compose(a.mid, b.mid).map.tobytes()] for b in autos]
         for a in autos
     ]
-    from .groups import build_group
-
-    return build_group(table), autos
+    # composition; the identity is the lexicographically least automorphism
+    return _group(table), autos
 
 
 def pi1_h2(module: CModule) -> FiniteGroup:

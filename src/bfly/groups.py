@@ -9,6 +9,7 @@ additively throughout.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     NotAssociative,
     NotHomomorphism,
     OrderCapExceeded,
+    require,
 )
 
 DEFAULT_ORDER_CAP = 512
@@ -37,6 +39,17 @@ def set_order_cap(cap: int) -> None:
 
 def get_order_cap() -> int:
     return _order_cap
+
+
+@contextmanager
+def order_cap(cap: int):
+    """Apply an order cap inside a with-block and restore the previous one."""
+    global _order_cap
+    previous, _order_cap = _order_cap, int(cap)
+    try:
+        yield
+    finally:
+        _order_cap = previous
 
 
 @dataclass(frozen=True)
@@ -113,44 +126,53 @@ def _as_table(table) -> np.ndarray:
     return arr
 
 
+def _check_order(n: int) -> None:
+    if n > _order_cap:
+        raise OrderCapExceeded(f"order {n} exceeds cap {_order_cap}")
+
+
+def _group(table, name: str = "") -> FiniteGroup:
+    """A table that is a group by construction, identity at index 0.
+
+    Only the order cap is checked; tables from outside go through
+    ``build_group``.
+    """
+    arr = np.asarray(table, dtype=np.int64)
+    _check_order(arr.shape[0])
+    inv = np.argmax(arr == 0, axis=1).astype(np.int64)
+    arr.setflags(write=False)
+    inv.setflags(write=False)
+    return FiniteGroup(table=arr, inv=inv, name=name)
+
+
 def build_group(table, name: str = "") -> FiniteGroup:
     """Validate a Cayley table and return the group, identity relabeled to 0."""
     arr = _as_table(table)
     n = arr.shape[0]
-    if n > _order_cap:
-        raise OrderCapExceeded(f"order {n} exceeds cap {_order_cap}")
+    _check_order(n)
 
     witness = _kernels.assoc_violation(arr)
     if witness is not None:
         raise NotAssociative(f"({witness[0]}+{witness[1]})+{witness[2]} != "
                              f"{witness[0]}+({witness[1]}+{witness[2]})")
 
-    ident = None
-    for e in range(n):
-        if np.array_equal(arr[e], np.arange(n)) and np.array_equal(
-            arr[:, e], np.arange(n)
-        ):
-            ident = e
-            break
-    if ident is None:
+    idx = np.arange(n)
+    idents = np.flatnonzero((arr == idx).all(axis=1) & (arr == idx[:, None]).all(axis=0))
+    if idents.size == 0:
         raise NoIdentity("no two-sided identity element")
-
+    ident = int(idents[0])
     if ident != 0:
         # swap the identity into slot 0 with a transposition relabeling
         perm = np.arange(n)
         perm[0], perm[ident] = ident, 0
         arr = perm[arr[np.ix_(perm, perm)]]
 
-    inv = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        hits = np.where(arr[a] == 0)[0]
-        if len(hits) == 0 or arr[hits[0], a] != 0:
-            raise NoInverse(f"element {a} has no two-sided inverse")
-        inv[a] = hits[0]
-
-    arr.setflags(write=False)
-    inv.setflags(write=False)
-    return FiniteGroup(table=arr, inv=inv, name=name)
+    # with associativity and an identity, a left and a right inverse agree
+    zero = arr == 0
+    bad = np.flatnonzero(~(zero.any(axis=1) & zero.any(axis=0)))
+    if bad.size:
+        raise NoInverse(f"element {bad[0]} has no two-sided inverse")
+    return _group(arr, name)
 
 
 @dataclass(frozen=True)
@@ -211,16 +233,22 @@ def build_hom(dom: FiniteGroup, cod: FiniteGroup, mapping, name: str = "") -> Gr
             f"f({a}+{b}) = f({dom.add(a, b)}) = {m[dom.add(a, b)]} but "
             f"f({a})+f({b}) = {cod.add(int(m[a]), int(m[b]))}"
         )
+    return _hom(dom, cod, m, name)
+
+
+def _hom(dom: FiniteGroup, cod: FiniteGroup, mapping, name: str = "") -> GroupHom:
+    """A map that is a homomorphism by construction; not validated."""
+    m = np.asarray(mapping, dtype=np.int64)
     m.setflags(write=False)
     return GroupHom(dom=dom, cod=cod, map=m, name=name)
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:
-    return build_hom(g, g, np.arange(g.order), name="id")
+    return _hom(g, g, np.arange(g.order), name="id")
 
 
 def zero_hom(dom: FiniteGroup, cod: FiniteGroup) -> GroupHom:
-    return build_hom(dom, cod, np.zeros(dom.order, dtype=np.int64), name="0")
+    return _hom(dom, cod, np.zeros(dom.order, dtype=np.int64), name="0")
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
@@ -276,19 +304,19 @@ def subgroup_from_elements(parent: FiniteGroup, elements) -> Subgroup:
     elems = tuple(sorted(set(int(e) for e in elements)))
     if 0 not in elems:
         raise MalformedTable("subgroup must contain the identity")
-    pos = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
-    table = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            c = parent.add(a, b)
-            if c not in pos:
-                raise MalformedTable(
-                    f"subset not closed: {a}+{b} = {c} outside subset"
-                )
-            table[i, j] = pos[c]
-    group = build_group(table)
-    emb = build_hom(group, parent, np.asarray(elems, dtype=np.int64))
+    members = np.asarray(elems, dtype=np.int64)
+    pos = np.full(parent.order, -1, dtype=np.int64)
+    pos[members] = np.arange(len(elems))
+    sums = parent.table[np.ix_(members, members)]
+    table = pos[sums]
+    if (table < 0).any():
+        i, j = np.argwhere(table < 0)[0]
+        raise MalformedTable(
+            f"subset not closed: {elems[i]}+{elems[j]} = {sums[i, j]} outside subset"
+        )
+    # a finite subset closed under + that holds 0 is a subgroup
+    group = _group(table)
+    emb = _hom(group, parent, members)
     return Subgroup(parent=parent, elements=elems, group=group, embedding=emb)
 
 
@@ -314,9 +342,16 @@ def normal_closure(g: FiniteGroup, seed) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
+def _membership(g: FiniteGroup, elements) -> np.ndarray:
+    member = np.zeros(g.order, dtype=bool)
+    member[list(elements)] = True
+    return member
+
+
 def is_normal(g: FiniteGroup, elements) -> bool:
-    elems = set(int(e) for e in elements)
-    return all(g.conj(h, x) in elems for x in elems for h in g.elements())
+    member = _membership(g, elements)
+    elems = np.flatnonzero(member)
+    return bool(member[g.table[g.table[:, elems], g.inv[:, None]]].all())   # h + x - h
 
 
 def quotient_by(g: FiniteGroup, normal_elements) -> tuple[FiniteGroup, GroupHom]:
@@ -326,25 +361,20 @@ def quotient_by(g: FiniteGroup, normal_elements) -> tuple[FiniteGroup, GroupHom]
     ordered by least member, which makes the labeling reproducible.
     """
     nelems = sorted(set(int(e) for e in normal_elements))
-    assert is_normal(g, nelems), "quotient_by requires a normal subgroup"
+    member = _membership(g, nelems)
+    # a finite subset that holds 0 and is closed under + is a subgroup
+    subgroup = member[0] and member[g.table[np.ix_(nelems, nelems)]].all()
+    require(subgroup and is_normal(g, nelems), "quotient_by requires a normal subgroup")
     rep = np.full(g.order, -1, dtype=np.int64)
     for a in g.elements():
-        if rep[a] >= 0:
-            continue
-        coset = sorted(g.add(a, x) for x in nelems)
-        least = coset[0]
-        for e in coset:
-            rep[e] = least
-    labels = sorted(set(int(r) for r in rep))
-    pos = {lab: i for i, lab in enumerate(labels)}
-    k = len(labels)
-    table = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            table[i, j] = pos[int(rep[g.add(a, b)])]
-    q = build_group(table)
-    proj = build_hom(g, q, np.asarray([pos[int(rep[a])] for a in g.elements()]))
-    return q, proj
+        if rep[a] < 0:
+            coset = g.table[a, nelems]
+            rep[coset] = coset.min()
+    labels = np.flatnonzero(rep == np.arange(g.order))    # least members
+    pos = np.full(g.order, -1, dtype=np.int64)
+    pos[labels] = np.arange(len(labels))
+    q = _group(pos[rep[g.table[np.ix_(labels, labels)]]])
+    return q, _hom(g, q, pos[rep])
 
 
 def cokernel(f: GroupHom) -> tuple[FiniteGroup, GroupHom]:
@@ -371,14 +401,15 @@ class ProductResult:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> ProductResult:
     """G x H with pair (a, b) at index a*|H| + b."""
     ng, nh = g.order, h.order
+    _check_order(ng * nh)
     a = np.repeat(np.arange(ng), nh)
     b = np.tile(np.arange(nh), ng)
     table = g.table[np.ix_(a, a)] * nh + h.table[np.ix_(b, b)]
-    prod = build_group(table, name=f"{g.name}x{h.name}" if g.name and h.name else "")
-    inj1 = build_hom(g, prod, np.arange(ng) * nh)
-    inj2 = build_hom(h, prod, np.arange(nh))
-    proj1 = build_hom(prod, g, a)
-    proj2 = build_hom(prod, h, b)
+    prod = _group(table, name=f"{g.name}x{h.name}" if g.name and h.name else "")
+    inj1 = _hom(g, prod, np.arange(ng) * nh)
+    inj2 = _hom(h, prod, np.arange(nh))
+    proj1 = _hom(prod, g, a)
+    proj2 = _hom(prod, h, b)
     return ProductResult(prod, inj1, inj2, proj1, proj2)
 
 
@@ -387,25 +418,24 @@ class PullbackResult:
     group: FiniteGroup
     p1: GroupHom
     p2: GroupHom
-    embedding: GroupHom  # into A x B
 
 
 def pullback(f: GroupHom, g: GroupHom) -> PullbackResult:
-    """Subgroup {(a, b) : f(a) = g(b)} of A x B with its projections."""
+    """{(a, b) : f(a) = g(b)} in lexicographic order, with its projections.
+
+    The table is built on the member pairs alone, so the order cap bounds
+    the pullback and not the product A x B around it.
+    """
     if f.cod != g.cod:
         raise DomainMismatch("pullback requires a shared codomain")
-    prod = direct_product(f.dom, g.dom)
+    a, b = np.nonzero(f.map[:, None] == g.map[None, :])
     nb = g.dom.order
-    members = [
-        a * nb + b
-        for a in f.dom.elements()
-        for b in g.dom.elements()
-        if f(a) == g(b)
-    ]
-    sub = subgroup_from_elements(prod.group, members)
-    p1 = compose(prod.proj1, sub.embedding)
-    p2 = compose(prod.proj2, sub.embedding)
-    return PullbackResult(sub.group, p1, p2, sub.embedding)
+    _check_order(len(a))
+    pos = np.full(f.dom.order * nb, -1, dtype=np.int64)
+    pos[a * nb + b] = np.arange(len(a))
+    table = pos[f.dom.table[np.ix_(a, a)] * nb + g.dom.table[np.ix_(b, b)]]
+    grp = _group(table)
+    return PullbackResult(grp, _hom(grp, f.dom, a), _hom(grp, g.dom, b))
 
 
 @dataclass(frozen=True)
@@ -420,19 +450,15 @@ def semidirect_product(action) -> SemidirectResult:
     """N x| G with (n, g) + (n', g') = (n + g*n', g + g'), index n*|G| + g."""
     n_grp, g_grp, act = action.object, action.actor, action.act
     nn, ng = n_grp.order, g_grp.order
-    size = nn * ng
-    table = np.zeros((size, size), dtype=np.int64)
-    for n1 in range(nn):
-        for g1 in range(ng):
-            i = n1 * ng + g1
-            twisted = act[g1]  # g1 * n'
-            for n2 in range(nn):
-                row = n_grp.table[n1, twisted[n2]] * ng
-                table[i, n2 * ng: (n2 + 1) * ng] = row + g_grp.table[g1]
-    grp = build_group(table)
-    inj_normal = build_hom(n_grp, grp, np.arange(nn) * ng)
-    inj_actor = build_hom(g_grp, grp, np.arange(ng))
-    retraction = build_hom(grp, g_grp, np.tile(np.arange(ng), nn))
+    _check_order(nn * ng)
+    ni = np.repeat(np.arange(nn), ng)
+    gi = np.tile(np.arange(ng), nn)
+    twisted = act[np.ix_(gi, ni)]                       # g * n'
+    table = n_grp.table[ni[:, None], twisted] * ng + g_grp.table[np.ix_(gi, gi)]
+    grp = _group(table)
+    inj_normal = _hom(n_grp, grp, np.arange(nn) * ng)
+    inj_actor = _hom(g_grp, grp, np.arange(ng))
+    retraction = _hom(grp, g_grp, gi)
     return SemidirectResult(grp, inj_normal, inj_actor, retraction)
 
 

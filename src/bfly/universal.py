@@ -12,7 +12,7 @@ import numpy as np
 
 from .actions import CModuleMorphism, compose_morphisms
 from .butterflies import CrossedExtension, XExtMorphism, build_xext_morphism
-from .errors import ModuleMismatch
+from .errors import ModuleMismatch, require
 from .extensions import AbelianExtension, ExtensionLift, ExtensionMorphism
 from .groups import GroupHom, all_homs, close_under_group, compose
 
@@ -152,7 +152,7 @@ def extension_product(
     )
     gamma = compose(a.quotient_arrow, pb.p1)
     ext = build_extension(kappa, gamma)
-    assert ext.module == pm.module
+    require(ext.module == pm.module)
     return ext
 
 

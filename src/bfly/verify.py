@@ -55,6 +55,7 @@ from .cohomology import (
     z1,
     zero_cochain,
 )
+from .errors import LawViolation, require
 from .extensions import (
     are_fibre_isomorphic,
     baer_sum,
@@ -82,7 +83,7 @@ def _check(results: list[CheckResult], name: str, fn) -> None:
     try:
         detail = fn()
         results.append(CheckResult(name, True, detail or "ok"))
-    except AssertionError as exc:
+    except LawViolation as exc:
         results.append(CheckResult(name, False, str(exc) or "assertion failed"))
     except Exception as exc:  # noqa: BLE001 - a failing law must not stop the run
         results.append(
@@ -110,7 +111,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
     def ground(m, d, want):
         def fn():
             got = cohomology(m, d).order
-            assert got == want, f"order {got}, expected {want}"
+            require(got == want, f"order {got}, expected {want}")
             return f"order {got}"
         return fn
 
@@ -128,7 +129,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
                 if m.coeff.order ** k > BRUTE_FORCE_CAP:
                     continue
                 s, b = cohomology(m, d).order, cohomology_brute(m, d)
-                assert s == b, f"{name}: solver {s} != brute {b}"
+                require(s == b, f"{name}: solver {s} != brute {b}")
                 n += 1
             return f"{n} systems agree"
         _check(out, f"oracle:solver-matches-brute:degree-{degree}", brute_all)
@@ -151,14 +152,14 @@ def suite_h2_pi0(seed: int = 0) -> list[CheckResult]:
                 rhs = h2.classify(cocycle_of_extension(e1)) + h2.classify(
                     cocycle_of_extension(e2)
                 )
-                assert lhs == rhs, "Baer sum does not add cocycle classes"
+                require(lhs == rhs, "Baer sum does not add cocycle classes")
                 n += 1
             return f"{n} pairs"
         _check(out, f"h2:baer-sum-adds-classes:{name}", descends)
 
         def zero_is_unit(m=m):
             e = extension_from_2cocycle(zero_cochain(m, 2))
-            assert are_fibre_isomorphic(e, unit_extension(m))
+            require(are_fibre_isomorphic(e, unit_extension(m)))
             return "fibre isomorphism found"
         _check(out, f"h2:zero-cocycle-gives-unit:{name}", zero_is_unit)
     return out
@@ -174,7 +175,7 @@ def suite_h2_pi1(seed: int = 0) -> list[CheckResult]:
             unit = unit_extension(m)
             n_auto = len(fibre_morphisms(unit, unit))
             n_z1 = z1(m).group.order
-            assert n_auto == n_z1, f"|Aut| {n_auto} != |Z1| {n_z1}"
+            require(n_auto == n_z1, f"|Aut| {n_auto} != |Z1| {n_z1}")
             return f"both {n_auto}"
         _check(out, f"h2:unit-automorphisms-match-z1:{name}", match)
     return out
@@ -199,10 +200,10 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
         for name, m in mods:
             ident = identity_butterfly(unit_xext(m))
             for f in _loop_pool(m, cap=3):
-                assert find_butterfly_iso(compose_butterflies(ident, f), f)
-                assert find_butterfly_iso(compose_butterflies(f, ident), f)
+                require(find_butterfly_iso(compose_butterflies(ident, f), f))
+                require(find_butterfly_iso(compose_butterflies(f, ident), f))
                 n += 2
-        assert n >= 50, f"only {n} unit-law instances"
+        require(n >= 50, f"only {n} unit-law instances")
         return f"{n} composites"
     _check(out, "butterfly:compose:unit-laws", unit_laws)
 
@@ -214,9 +215,9 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
                 f, g, h = (pool[int(rng.integers(len(pool)))] for _ in range(3))
                 lhs = compose_butterflies(h, compose_butterflies(g, f))
                 rhs = compose_butterflies(compose_butterflies(h, g), f)
-                assert find_butterfly_iso(lhs, rhs), "associativity failed"
+                require(find_butterfly_iso(lhs, rhs), "associativity failed")
                 n += 1
-        assert n >= 40, f"only {n} triples"
+        require(n >= 40, f"only {n} triples")
         return f"{n} triples"
     _check(out, "butterfly:compose:associativity", associativity)
 
@@ -228,9 +229,9 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
                 bf = butterfly_beta(compose_butterflies(g, f))
                 from .actions import compose_morphisms
 
-                assert bf == compose_morphisms(
+                require(bf == compose_morphisms(
                     butterfly_beta(g), butterfly_beta(f)
-                )
+                ))
                 n += 1
             # a genuinely non-identity beta via chained pushforward lifts
             betas = [
@@ -244,9 +245,9 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
                 q1, q2 = morphism_to_butterfly(l1), morphism_to_butterfly(l2)
                 from .actions import compose_morphisms
 
-                assert butterfly_beta(compose_butterflies(q2, q1)) == (
+                require(butterfly_beta(compose_butterflies(q2, q1)) == (
                     compose_morphisms(b1, b1)
-                )
+                ))
                 n += 1
         return f"{n} pairs"
     _check(out, "butterfly:compose:beta-functorial", beta_functorial)
@@ -258,8 +259,8 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
             for f in _loop_pool(m, cap=2):
                 c = compose_butterflies(ident, f)
                 iso = find_butterfly_iso(c, f)
-                assert iso is not None
-                assert butterfly_beta(c) == butterfly_beta(f)
+                require(iso is not None)
+                require(butterfly_beta(c) == butterfly_beta(f))
                 n += 1
         return f"{n} isomorphic pairs"
     _check(out, "butterfly:beta:iso-invariant", beta_iso_invariant)
@@ -269,8 +270,8 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
         for name, m in mods:
             cmp = tensor_unit_comparison(unit_xext(m))
             bf = morphism_to_butterfly(cmp)
-            assert butterfly_beta(bf).is_identity()
-            assert is_flippable(bf)
+            require(butterfly_beta(bf).is_identity())
+            require(is_flippable(bf))
             n += 1
         return f"{n} comparison butterflies"
     _check(out, "butterfly:from-morphism:tensor-unit-comparison", q_functorial)
@@ -288,12 +289,12 @@ def suite_inverse(seed: int = 0) -> list[CheckResult]:
             n = 0
             for ename, e in h3_catalog(m, mods):
                 w = inverse_witness(e)          # validates i-iv, flip, beta
-                assert is_flippable(w), f"{ename}: witness not flippable"
-                assert butterfly_beta(w).is_identity()
+                require(is_flippable(w), f"{ename}: witness not flippable")
+                require(butterfly_beta(w).is_identity())
                 comp = compose_butterflies(flip(w), w)
-                assert find_butterfly_iso(
+                require(find_butterfly_iso(
                     comp, identity_butterfly(w.dom)
-                ), f"{ename}: flip(w).w is not the identity"
+                ), f"{ename}: flip(w).w is not the identity")
                 n += 1
             return f"{n} crossed extensions"
         _check(out, f"h3:inverse-witness:{name}", inverse_law)
@@ -308,9 +309,9 @@ def suite_phi(seed: int = 0) -> list[CheckResult]:
     mods = standard_modules()
     for name, m in mods:
         def phi_unit(m=m):
-            assert find_butterfly_iso(
+            require(find_butterfly_iso(
                 phi(unit_extension(m)), identity_butterfly(unit_xext(m))
-            ), "phi of the split extension is not the identity butterfly"
+            ), "phi of the split extension is not the identity butterfly")
             return "ok"
         _check(out, f"h3:phi-sends-unit-to-identity:{name}", phi_unit)
 
@@ -320,7 +321,7 @@ def suite_phi(seed: int = 0) -> list[CheckResult]:
             for e1, e2 in _pairs(cat, 9):
                 lhs = phi(baer_sum(e1, e2))
                 rhs = compose_butterflies(phi(e2), phi(e1))
-                assert find_butterfly_iso(lhs, rhs), "phi is not monoidal"
+                require(find_butterfly_iso(lhs, rhs), "phi is not monoidal")
                 n += 1
             return f"{n} pairs"
         _check(out, f"h3:phi-monoidal:{name}", phi_monoidal)
@@ -334,7 +335,7 @@ def suite_phi(seed: int = 0) -> list[CheckResult]:
             for e1, e2 in itertools.product(cat, repeat=2):
                 same_fibre = are_fibre_isomorphic(e1, e2)
                 same_phi = find_butterfly_iso(phi(e1), phi(e2)) is not None
-                assert same_fibre == same_phi, "phi does not reflect isomorphism"
+                require(same_fibre == same_phi, "phi does not reflect isomorphism")
                 n += 1
             return f"{n} comparisons"
         _check(out, f"h3:phi-reflects-fibre-isomorphism:{name}", reflects)
@@ -355,9 +356,9 @@ def suite_pushforward_cokernel(seed: int = 0) -> list[CheckResult]:
                 sq = composition_square(e1, e2)
                 for g in cat[:2]:
                     for b2 in betas[:4]:
-                        assert check_cocartesian_extension(
+                        require(check_cocartesian_extension(
                             sq, sq.source, g, b2
-                        ), "composite square is not cocartesian"
+                        ), "composite square is not cocartesian")
                         n += 1
             return f"{n} factorization checks"
         _check(out, f"h3:compose-square-is-pushforward:{name}", square)
@@ -386,9 +387,9 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
                     lift = pushforward_extension(src, beta)
                     for g in h2_catalog(m2)[:2]:
                         for b2 in all_module_morphisms(m2, m2)[:2]:
-                            assert check_cocartesian_extension(
+                            require(check_cocartesian_extension(
                                 lift, src, g, b2
-                            ), f"dim-1 lift fails UP ({n1} -> {n2})"
+                            ), f"dim-1 lift fails UP ({n1} -> {n2})")
                             n += 1
         return f"{n} factorization checks"
     _check(out, "h2:pushforward:cocartesian-universal-property", dim1)
@@ -404,9 +405,9 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
                     result, lift = pushforward_xext(src, beta)
                     for g in [result, unit_xext(m2)]:
                         for b2 in all_module_morphisms(m2, m2)[:2]:
-                            assert check_cocartesian_xext(
+                            require(check_cocartesian_xext(
                                 lift, g, b2
-                            ), f"dim-2 lift fails UP ({n1} -> {n2})"
+                            ), f"dim-2 lift fails UP ({n1} -> {n2})")
                             n += 1
         return f"{n} factorization checks"
     _check(out, "h3:pushforward:cocartesian-universal-property", dim2)
@@ -425,9 +426,9 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
 
                 tgt = extension_product(l1.target, l1.target)
                 for b2 in all_module_morphisms(pl.beta.cod, pl.beta.cod)[:2]:
-                    assert check_cocartesian_extension(
+                    require(check_cocartesian_extension(
                         pl, pl.source, tgt, b2
-                    ), f"product of lifts fails UP over {name}"
+                    ), f"product of lifts fails UP over {name}")
                     n += 1
         return f"{n} factorization checks"
     _check(out, "h2:pushforward:product-of-lifts-cocartesian", products)
@@ -436,7 +437,7 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
         names = []
         for bname, b in [("Z2", cyclic_group(2)), ("Z3", cyclic_group(3)),
                          ("Z4", cyclic_group(4))]:
-            assert jointly_generate_square(b), bname
+            require(jointly_generate_square(b), bname)
             names.append(bname)
         return ", ".join(names)
     _check(out, "h3:kernel-pair:jointly-generating", jointly)
@@ -459,7 +460,7 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
             for ename, e in cat:
                 base = class_of_crossed_extension(e)
                 for _ in range(100):
-                    assert class_of_crossed_extension(e, rng) == base, ename
+                    require(class_of_crossed_extension(e, rng) == base, ename)
                     n += 1
             return f"{n} re-choices"
         _check(out, f"oracle:class:section-independent:{name}", section_independent)
@@ -469,9 +470,9 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
             for ename, e in cat:
                 base = class_of_crossed_extension(e)
                 _, lift = pushforward_xext(e, identity_morphism(m))
-                assert class_of_crossed_extension(lift.cod) == base, ename
+                require(class_of_crossed_extension(lift.cod) == base, ename)
                 cmp = tensor_unit_comparison(e)
-                assert class_of_crossed_extension(cmp.cod) == base, ename
+                require(class_of_crossed_extension(cmp.cod) == base, ename)
                 n += 2
             return f"{n} vertical comparisons"
         _check(out, f"oracle:class:vertical-invariant:{name}", vertical_invariant)
@@ -481,7 +482,7 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
             for (n1, e1), (n2, e2) in _pairs(cat, 6):
                 lhs = class_of_crossed_extension(tensor_xext(e1, e2))
                 rhs = class_of_crossed_extension(e1) + class_of_crossed_extension(e2)
-                assert lhs == rhs, f"{n1} (x) {n2}"
+                require(lhs == rhs, f"{n1} (x) {n2}")
                 n += 1
             return f"{n} pairs"
         _check(out, f"oracle:class:tensor-additive:{name}", tensor_additive)
@@ -494,7 +495,7 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
                 s = class_of_crossed_extension(e) + class_of_crossed_extension(
                     inverse_xext(e)
                 )
-                assert s.is_zero(), ename
+                require(s.is_zero(), ename)
                 n += 1
             return f"{n} extensions"
         _check(out, f"oracle:class:inverse-law:{name}", inverse_law)
@@ -509,23 +510,26 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
                         result, _ = pushforward_xext(e, beta)
                         lhs = class_of_crossed_extension(result)
                         rhs = push_class(beta, class_of_crossed_extension(e))
-                        assert lhs == rhs, f"{ename} along {name2}"
+                        require(lhs == rhs, f"{ename} along {name2}")
                         n += 1
                 break
             return f"{n} pushforwards"
         _check(out, f"oracle:class:pushforward-equivariant:{name}", pushforward_equivariant)
 
         def realized(cat=cat, h3=h3):
-            classes = sorted(
-                {class_of_crossed_extension(e).coords for _, e in cat}
-            )
-            return f"|H3|={h3.order}; realized classes: {classes}"
+            classes = {ename: class_of_crossed_extension(e).coords for ename, e in cat}
+            require(classes["unit"] == h3.zero().coords, "the unit's class is not zero")
+            for ename, coords in classes.items():
+                require(len(coords) == len(h3.factors)
+                        and all(0 <= c < f for c, f in zip(coords, h3.factors)),
+                        f"{ename}: class {coords} outside {h3.factors}")
+            return f"|H3|={h3.order}; realized classes: {sorted(set(classes.values()))}"
         _check(out, f"oracle:class:realized:{name}", realized)
 
     def identity_family():
         n = 0
         for e in identity_xext_family():
-            assert class_of_crossed_extension(e).is_zero()
+            require(class_of_crossed_extension(e).is_zero())
             n += 1
         return f"{n} identity crossed modules"
     _check(out, "oracle:class:identity-family-trivial", identity_family)

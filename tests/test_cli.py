@@ -118,3 +118,43 @@ def test_verify_text_has_pass_lines(capsys):
 def test_unknown_suite_exits_1(capsys):
     code, _, err = run(capsys, "verify", "no-such-suite")
     assert code == 1
+
+
+def test_cap_is_scoped_to_one_call(capsys, tmp_path):
+    from bfly.groups import get_order_cap
+
+    z4 = tmp_path / "z4.group.json"
+    z4.write_text(json.dumps({"kind": "group", "order": 4,
+                              "table": [[(a + b) % 4 for b in range(4)] for a in range(4)]}))
+    before = get_order_cap()
+    code, _, err = run(capsys, "validate", str(z4), "--cap", "3")
+    assert code == 1 and "exceeds cap 3" in err
+    assert get_order_cap() == before
+    code, out, _ = run(capsys, "validate", str(z4))
+    assert code == 0 and "valid" in out
+
+
+def test_broken_law_fails_under_optimize():
+    """Law checks are not asserts: python -O must still report a failure."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from bfly import verify\n"
+        "assert False, 'asserts are on'\n"   # stripped by -O, so the run goes on
+        "verify.fibre_morphisms = lambda e1, e2: []\n"   # |Aut| reads 0
+        "results = verify.run_suite('h2-pi1')\n"
+        "print(sys.flags.optimize, sum(not r.passed for r in results), len(results))\n"
+        "print(results[0].detail)\n"
+    )
+    src = str(Path(main.__code__.co_filename).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, detail = proc.stdout.splitlines()
+    optimize, failed, total = map(int, first.split())
+    assert optimize == 1 and failed == total == 22
+    assert detail.startswith("|Aut| 0 != |Z1| ")

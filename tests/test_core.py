@@ -1,11 +1,15 @@
 """Group core: tables, homs, kernels, quotients, products, iso search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from bfly.cohomology import cyclic_group
 from bfly.errors import (
     ImagesDoNotCommute,
+    LawViolation,
+    MalformedTable,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -161,19 +165,168 @@ def test_subgroup_embedding(z4):
     assert sub.embedding(1) == 2
 
 
-def test_kernel_backends_agree():
+def _brute_assoc(table):
+    """Reference O(n^3) scan: first (a, b, c) in index order, or None."""
+    n = table.shape[0]
+    bad = table[table] != table[:, table]     # (a+b)+c vs a+(b+c)
+    return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+def _relabel(table, perm):
+    """The same operation on the labels perm[a]."""
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def _assert_light_agrees(table):
     from bfly import _kernels
 
-    table = np.array([[0, 2, 1], [1, 0, 2], [2, 1, 0]], dtype=np.int64)
-    good = (np.add.outer(np.arange(5), np.arange(5)) % 5).astype(np.int64)
-    m = np.array([0, 2, 4, 1, 3], dtype=np.int64)
-    assert tuple(_kernels._assoc_violation_np(table)) == tuple(
-        _kernels._assoc_violation_jit(table)
-    )
-    assert _kernels._assoc_violation_np(good) == (-1, -1, -1)
-    assert tuple(_kernels._hom_violation_np(good, good, m)) == tuple(
-        _kernels._hom_violation_jit(good, good, m)
-    )
+    brute = _brute_assoc(table)
+    light = _kernels.assoc_violation(table)
+    assert (light is None) == (brute is None), (table.tolist(), light, brute)
+    if light is not None:
+        a, b, c = light
+        assert table[table[a, b], c] != table[a, table[b, c]]
+    return light is None
+
+
+def test_light_test_agrees_with_brute_scan(s3):
+    from bfly.catalog import klein_group
+
+    rng = np.random.default_rng(7)
+    groups = [cyclic_group(n) for n in (1, 2, 5, 8, 12)] + [s3, klein_group()]
+    groups += [direct_product(s3, cyclic_group(4)).group,
+               direct_product(klein_group(), klein_group()).group]
+    perturbed_bad = 0
+    for g in groups:
+        for _ in range(4):
+            table = _relabel(g.table, rng.permutation(g.order))
+            assert _assert_light_agrees(table)
+            if g.order < 3:
+                continue
+            row, (j, k) = rng.integers(g.order), rng.choice(g.order, 2, replace=False)
+            table[row, [j, k]] = table[row, [k, j]]
+            perturbed_bad += not _assert_light_agrees(table)
+    assert perturbed_bad >= 20
+
+    # magmas that need many generators: bands, semilattices, constant
+    # products, and one-entry perturbations of each
+    n = 9
+    x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    for table in (x, y, np.minimum(x, y), np.maximum(x, y), np.zeros_like(x) + 3):
+        table = table.astype(np.int64)
+        assert _assert_light_agrees(table)
+        for _ in range(20):
+            bent = table.copy()
+            bent[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            _assert_light_agrees(bent)
+
+    # every magma of order 2 and order 3
+    for order in (2, 3):
+        cells = order * order
+        for code in range(order ** cells):
+            digits = [(code // order ** i) % order for i in range(cells)]
+            _assert_light_agrees(np.asarray(digits, dtype=np.int64).reshape(order, order))
+
+
+def test_hom_scan_matches_pointwise_check():
+    from bfly import _kernels
+
+    z5 = cyclic_group(5).table
+    for m in ([0, 2, 4, 1, 3], [0, 2, 4, 3, 1], [0, 1, 2, 3, 4], [0, 0, 0, 0, 1]):
+        m = np.asarray(m, dtype=np.int64)
+        first = next(((a, b) for a in range(5) for b in range(5)
+                      if m[z5[a, b]] != z5[m[a], m[b]]), None)
+        assert _kernels.hom_violation(z5, z5, m) == first
+
+
+def test_derived_constructions_pass_full_validation(s3):
+    """Groups and maps built by invariant must pass the public validators."""
+    from bfly.catalog import all_actions, standard_groups, standard_modules
+    from bfly.cohomology import _mixed_radix_group, z1
+    from bfly.extensions import pi1_group
+
+    def same_group(g):
+        checked = build_group(g.table)
+        assert checked == g and np.array_equal(checked.inv, g.inv)
+        assert not g.table.flags.writeable and not g.inv.flags.writeable
+
+    def same_hom(f):
+        assert build_hom(f.dom, f.cod, f.map) == f
+
+    groups = list(standard_groups().values()) + [s3]
+    for n in range(1, 13):
+        same_group(cyclic_group(n))
+    for factors in ((), (2,), (2, 2), (2, 6), (2, 2, 4)):
+        same_group(_mixed_radix_group(factors))
+    for g in groups:
+        same_hom(identity_hom(g))
+        for h in groups:
+            prod = direct_product(g, h)
+            same_group(prod.group)
+            for f in (prod.inj1, prod.inj2, prod.proj1, prod.proj2):
+                same_hom(f)
+            same_hom(zero_hom(g, h))
+            homs = all_homs(g, h)
+            for f in homs:
+                sub = kernel(f)
+                same_group(sub.group)
+                same_hom(sub.embedding)
+                q, proj = quotient_by(g, sub.elements)
+                same_group(q)
+                same_hom(proj)
+                for f2 in homs[:3]:
+                    pb = pullback(f, f2)
+                    same_group(pb.group)
+                    same_hom(pb.p1)
+                    same_hom(pb.p2)
+            for act in all_actions(g, h) if h.is_abelian() else ():
+                sd = semidirect_product(act)
+                same_group(sd.group)
+                for f in (sd.inj_normal, sd.inj_actor, sd.retraction):
+                    same_hom(f)
+    for _, m in standard_modules()[::4]:
+        same_group(z1(m).group)
+        same_group(pi1_group(m)[0])
+
+
+def test_constructions_match_their_definitions(s3):
+    """Vectorised constructions against their pointwise definitions."""
+    from bfly.catalog import all_actions, klein_group
+
+    z4, z2 = cyclic_group(4), cyclic_group(2)
+    for act in all_actions(s3, cyclic_group(3)) + all_actions(z2, klein_group()):
+        sd, nn, ng = semidirect_product(act), act.object.order, act.actor.order
+        for (n1, g1), (n2, g2) in itertools.product(
+                itertools.product(range(nn), range(ng)), repeat=2):
+            want = act.object.add(n1, int(act.act[g1, n2])) * ng + act.actor.add(g1, g2)
+            assert sd.group.add(n1 * ng + g1, n2 * ng + g2) == want
+
+    for f, g in ((all_homs(s3, z2)[1], all_homs(z4, z2)[1]),
+                 (all_homs(z4, s3)[0], all_homs(z2, s3)[1])):
+        pairs = [(a, b) for a in f.dom.elements() for b in g.dom.elements() if f(a) == g(b)]
+        pb = pullback(f, g)
+        assert list(zip(pb.p1.map.tolist(), pb.p2.map.tolist())) == pairs
+        for i, (a, b) in enumerate(pairs):
+            for j, (c, d) in enumerate(pairs):
+                assert pairs[pb.group.add(i, j)] == (f.dom.add(a, c), g.dom.add(b, d))
+
+    for grp, normal in ((s3, (0, 1, 2)), (z4, (0, 2)), (s3, tuple(range(6)))):
+        q, proj = quotient_by(grp, normal)
+        least = sorted({min(grp.add(a, x) for x in normal) for a in grp.elements()})
+        assert [proj(a) for a in least] == list(range(q.order))
+        for a, b in itertools.product(grp.elements(), repeat=2):
+            assert (proj(a) == proj(b)) == (grp.sub(a, b) in normal)
+            assert q.add(proj(a), proj(b)) == proj(grp.add(a, b))
+    with pytest.raises(LawViolation, match="normal subgroup"):
+        quotient_by(z4, (0, 1))     # conjugation-closed, but not a subgroup
+
+    sub = subgroup_from_elements(s3, (0, 2, 1))
+    for i, j in itertools.product(range(3), repeat=2):
+        assert sub.elements[sub.group.add(i, j)] == s3.add(sub.elements[i], sub.elements[j])
+    with pytest.raises(MalformedTable, match=r"subset not closed: 3\+4 = 1"):
+        subgroup_from_elements(s3, (0, 3, 4))
 
 
 def test_identity_and_composition(z4, z2):

@@ -4,7 +4,7 @@ import numpy as np
 
 from bfly.actions import cmodule_morphism, zero_morphism
 from bfly.bridges import class_of_extension, extension_from_2cocycle
-from bfly.cohomology import build_cochain, cohomology, z1
+from bfly.cohomology import build_cochain, cohomology, cyclic_group, z1
 from bfly.extensions import (
     are_fibre_isomorphic,
     baer_sum,
@@ -43,6 +43,16 @@ def test_baer_sum_of_z4_with_itself_is_split(z2_z2_triv, z2):
     s = baer_sum(e, e)
     assert class_of_extension(s).is_zero()
     assert are_fibre_isomorphic(s, k4_ext(z2_z2_triv, z2))
+
+    # Z12 >-> Z24 ->> Z2: the pullback has order 288 inside a 576-element
+    # product, above the order cap, so it must be built from its members
+    z12, z24 = cyclic_group(12), cyclic_group(24)
+    e = build_extension(build_hom(z12, z24, [2 * x for x in range(12)]),
+                        build_hom(z24, z2, [x % 2 for x in range(24)]))
+    s = baer_sum(e, e)
+    assert s.middle.order == 24
+    assert max(s.middle.element_order(x) for x in s.middle.elements()) < 24
+    assert class_of_extension(s).is_zero()
 
 
 def test_baer_sum_adds_classes(z3_z3_triv):
