@@ -20,35 +20,31 @@ from .cohomology import (
 )
 from .errors import NotACocycle, require
 from .extensions import AbelianExtension, build_extension
-from .groups import build_group, build_hom
+from .groups import _group, _hom
 
 
 def extension_from_2cocycle(f: Cochain) -> AbelianExtension:
-    """Middle group B x C with (b,c)+(b',c') = (b + c*b' + f(c,c'), c+c')."""
+    """Middle group B x C with (b,c)+(b',c') = (b + c*b' + f(c,c'), c+c').
+
+    The 2-cocycle condition makes this a group, and normalisation makes
+    (0, 0), index 0, its identity, so the table is built by invariant.
+    """
     if f.degree != 2:
         raise NotACocycle("expected a degree-2 cochain")
+    if f.values[0].any() or f.values[:, 0].any():
+        raise NotACocycle("cochain is not normalized")
     if not is_cocycle(f):
         raise NotACocycle("cochain does not satisfy the 2-cocycle condition")
     m = f.module
     b_grp, c_grp = m.coeff, m.base
     nb, nc = b_grp.order, c_grp.order
-    size = nb * nc
-    table = np.zeros((size, size), dtype=np.int64)
-    for b in range(nb):
-        for c in range(nc):
-            for bp in range(nb):
-                for cp in range(nc):
-                    bsum = b_grp.add(
-                        b_grp.add(b, m.xi(c, bp)), f.value(c, cp)
-                    )
-                    table[b * nc + c, bp * nc + cp] = (
-                        bsum * nc + c_grp.add(c, cp)
-                    )
-    middle = build_group(table)
-    kappa = build_hom(b_grp, middle, [b * nc for b in range(nb)])
-    gamma = build_hom(
-        middle, c_grp, [c for _ in range(nb) for c in range(nc)]
-    )
+    # axes (b, c, b', c'); element (b, c) has index b * nc + c
+    twisted = b_grp.table[:, m.action.act]                  # b + c*b'
+    bsum = b_grp.table[twisted[..., None], f.values[None, :, None, :]]
+    table = bsum * nc + c_grp.table[None, :, None, :]
+    middle = _group(table.reshape(nb * nc, nb * nc))
+    kappa = _hom(b_grp, middle, np.arange(nb) * nc)
+    gamma = _hom(middle, c_grp, np.tile(np.arange(nc), nb))
     ext = build_extension(kappa, gamma)
     require(ext.module == m)
     return ext

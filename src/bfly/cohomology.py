@@ -18,7 +18,13 @@ import numpy as np
 from .actions import CModule
 from .errors import LawViolation, NotACocycle, SizeCap, require
 from .groups import FiniteGroup, GroupHom, _group, direct_product, find_isomorphisms
-from .snf import column_lattice_basis, integer_kernel, smith_normal_form, solve_integer
+from .snf import (
+    SmithDecomposition,
+    column_lattice_basis,
+    integer_kernel,
+    smith_normal_form,
+    solve_integer,
+)
 
 BRUTE_FORCE_CAP = 1 << 20
 _SOLVER_UNKNOWN_CAP = 4096
@@ -241,6 +247,7 @@ class CohomologyGroup:
     group: FiniteGroup                  # product of the invariant factors
     factors: tuple[int, ...]            # cyclic orders of the generators
     _basis: np.ndarray                  # adapted basis of the cocycle lattice
+    _basis_snf: SmithDecomposition      # a Smith decomposition of _basis
     _sdiag: tuple[int, ...]             # elementary divisors along _basis
     _dec: CyclicDecomposition
     _tuples: tuple
@@ -275,11 +282,7 @@ class CohomologyGroup:
             raise NotACocycle("cochain does not belong to this group")
         if not is_cocycle(f):
             raise NotACocycle("not a cocycle")
-        cached = getattr(self, "_basis_snf", None)
-        if cached is None:
-            cached = smith_normal_form(self._basis)
-            object.__setattr__(self, "_basis_snf", cached)
-        y = solve_integer(self._basis, self._vector(f), dec=cached)
+        y = solve_integer(self._basis, self._vector(f), dec=self._basis_snf)
         require(y is not None, "cocycle outside the computed cocycle lattice")
         coords = tuple(
             int(y[i]) % s
@@ -356,12 +359,14 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
         raise SizeCap(f"{n_unknowns} unknowns exceed the solver cap")
 
     if n_unknowns == 0:
+        empty = np.zeros((0, 0), dtype=object)
         result = CohomologyGroup(
             module=module,
             degree=degree,
             group=cyclic_group(1),
             factors=(),
-            _basis=np.zeros((0, 0), dtype=object),
+            _basis=empty,
+            _basis_snf=SmithDecomposition(empty, empty, empty, empty, empty),
             _sdiag=(),
             _dec=dec,
             _tuples=(),
@@ -383,13 +388,11 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     d_down, _, _ = _coboundary_matrix(module, dec, degree - 1)
     cob_gens = np.concatenate([d_down, col_mods], axis=1)
 
-    # express coboundaries in the cocycle basis and read off the quotient
-    x_cols = []
-    for j in range(cob_gens.shape[1]):
-        y = solve_integer(basis, cob_gens[:, j])
-        require(y is not None, "coboundary outside the cocycle lattice")
-        x_cols.append(y)
-    x = np.stack(x_cols, axis=1)
+    # express coboundaries in the cocycle basis and read off the quotient;
+    # the basis is square and nonsingular, so each solution is unique
+    lattice = smith_normal_form(basis)
+    x = solve_integer(basis, cob_gens, dec=lattice)
+    require(x is not None, "coboundary outside the cocycle lattice")
     dec_x = smith_normal_form(x)
     sdiag = tuple(
         int(dec_x.s[i, i]) if i < min(dec_x.s.shape) else 0
@@ -397,6 +400,14 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     )
     require(all(s > 0 for s in sdiag), "coboundary lattice not full rank")
     adapted = basis @ dec_x.uinv
+    # U @ basis @ V = S gives U @ adapted @ (dec_x.u @ V) = S
+    adapted_snf = SmithDecomposition(
+        u=lattice.u,
+        s=lattice.s,
+        v=dec_x.u @ lattice.v,
+        uinv=lattice.uinv,
+        vinv=lattice.vinv @ dec_x.uinv,
+    )
     factors = tuple(s for s in sdiag if s > 1)
     group = _mixed_radix_group(factors)
 
@@ -406,6 +417,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
         group=group,
         factors=factors,
         _basis=adapted,
+        _basis_snf=adapted_snf,
         _sdiag=sdiag,
         _dec=dec,
         _tuples=tuple(tuples),
@@ -436,7 +448,8 @@ def enumerate_normalized_cochains(module: CModule, degree: int):
 def _candidate_matrix(module: CModule, degree: int) -> np.ndarray:
     """All normalized cochains as rows over the nonzero tuples.
 
-    Row order matches itertools.product (first tuple most significant).
+    Row order matches itertools.product (first tuple most significant);
+    entries are in the narrowest unsigned dtype that holds B.
     """
     nc, nb = module.base.order, module.coeff.order
     tuples = _nonzero_tuples(nc, degree)
@@ -445,50 +458,47 @@ def _candidate_matrix(module: CModule, degree: int) -> np.ndarray:
     if total > BRUTE_FORCE_CAP:
         raise SizeCap(f"{nb}^{k} candidates exceed the brute-force cap")
     idx = np.arange(total, dtype=np.int64)
-    cols = []
-    for pos in range(k):
-        weight = nb ** (k - 1 - pos)
-        cols.append((idx // weight) % nb)
-    return np.stack(cols, axis=1)
+    dtype = np.min_scalar_type(nb - 1)
+    return np.stack(
+        [(idx // nb ** (k - 1 - pos) % nb).astype(dtype) for pos in range(k)],
+        axis=1,
+    )
 
 
-def _coboundary_rows(module: CModule, degree: int, v: np.ndarray) -> np.ndarray:
-    """Coboundary values of every candidate row, vectorized over candidates.
-
-    Output shape (n_candidates, nc ** (degree + 1)), columns in tuple
-    lexicographic order.
-    """
+def _coboundary_column(
+    module: CModule, degree: int, v: np.ndarray, t: tuple[int, ...]
+) -> np.ndarray:
+    """Coboundary value at the (degree+1)-tuple t of every candidate row."""
     c_grp, b_grp = module.base, module.coeff
-    nc = c_grp.order
-    tuples = _nonzero_tuples(nc, degree)
-    col_of = {t: i for i, t in enumerate(tuples)}
-    n = v.shape[0]
-    zero = np.zeros(n, dtype=np.int64)
+    add, neg = b_grp.table.astype(v.dtype), b_grp.inv.astype(v.dtype)
+    col_of = {s: i for i, s in enumerate(_nonzero_tuples(c_grp.order, degree))}
+    zero = np.zeros(len(v), dtype=v.dtype)
 
-    def at(t: tuple[int, ...]) -> np.ndarray:
-        return v[:, col_of[t]] if t in col_of else zero
+    def at(s: tuple[int, ...]) -> np.ndarray:
+        return v[:, col_of[s]] if s in col_of else zero
 
-    out = np.empty((n, nc ** (degree + 1)), dtype=np.int64)
-    for col, t in enumerate(itertools.product(range(nc), repeat=degree + 1)):
-        acc = module.action.act[t[0]][at(t[1:])]
-        sign = -1
-        for i in range(degree):
-            merged = t[:i] + (c_grp.add(t[i], t[i + 1]),) + t[i + 2:]
-            term = at(merged)
-            acc = b_grp.table[acc, term if sign > 0 else b_grp.inv[term]]
-            sign = -sign
-        term = at(t[:degree])
-        acc = b_grp.table[acc, term if sign > 0 else b_grp.inv[term]]
-        out[:, col] = acc
-    return out
+    acc = module.action.act[t[0]].astype(v.dtype)[at(t[1:])]
+    sign = -1
+    for i in range(degree):
+        merged = t[:i] + (c_grp.add(t[i], t[i + 1]),) + t[i + 2:]
+        term = at(merged)
+        acc = add[acc, term if sign > 0 else neg[term]]
+        sign = -sign
+    term = at(t[:degree])
+    return add[acc, term if sign > 0 else neg[term]]
 
 
 def cohomology_brute(module: CModule, degree: int) -> int:
-    """Order of the cohomology group by exhaustive vectorized enumeration."""
+    """Order of the cohomology group by exhaustive vectorized enumeration.
+
+    Candidates are filtered one coboundary column at a time, so no
+    candidates x targets matrix is ever built.
+    """
+    nc = module.base.order
     v = _candidate_matrix(module, degree)
-    n_cocycles = int(np.count_nonzero(
-        np.all(_coboundary_rows(module, degree, v) == 0, axis=1)
-    ))
+    for t in itertools.product(range(nc), repeat=degree + 1):
+        v = v[_coboundary_column(module, degree, v, t) == 0]
+    n_cocycles = len(v)
     if degree == 1:
         cobs = set()
         for b in module.coeff.elements():
@@ -500,7 +510,13 @@ def cohomology_brute(module: CModule, degree: int) -> int:
         n_cobs = len(cobs)
     else:
         lower = _candidate_matrix(module, degree - 1)
-        images = _coboundary_rows(module, degree - 1, lower)
+        images = np.stack(
+            [
+                _coboundary_column(module, degree - 1, lower, t)
+                for t in itertools.product(range(nc), repeat=degree)
+            ],
+            axis=1,
+        )
         n_cobs = len(np.unique(images, axis=0))
     require(n_cocycles % n_cobs == 0)
     return n_cocycles // n_cobs

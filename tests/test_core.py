@@ -243,7 +243,7 @@ def test_hom_scan_matches_pointwise_check():
 
 def test_derived_constructions_pass_full_validation(s3):
     """Groups and maps built by invariant must pass the public validators."""
-    from bfly.catalog import all_actions, standard_groups, standard_modules
+    from bfly.catalog import all_actions, h2_catalog, standard_groups, standard_modules
     from bfly.cohomology import _mixed_radix_group, z1
     from bfly.extensions import pi1_group
 
@@ -289,6 +289,11 @@ def test_derived_constructions_pass_full_validation(s3):
     for _, m in standard_modules()[::4]:
         same_group(z1(m).group)
         same_group(pi1_group(m)[0])
+    for _, m in standard_modules():
+        for ext in h2_catalog(m):     # the bridged twisted products B x_f C
+            same_group(ext.middle)
+            same_hom(ext.kernel_arrow)
+            same_hom(ext.quotient_arrow)
 
 
 def test_constructions_match_their_definitions(s3):
@@ -321,6 +326,21 @@ def test_constructions_match_their_definitions(s3):
             assert q.add(proj(a), proj(b)) == proj(grp.add(a, b))
     with pytest.raises(LawViolation, match="normal subgroup"):
         quotient_by(z4, (0, 1))     # conjugation-closed, but not a subgroup
+
+    from bfly.bridges import extension_from_2cocycle
+    from bfly.catalog import standard_modules
+    from bfly.cohomology import cohomology
+
+    for _, m in standard_modules()[::3]:
+        h2 = cohomology(m, 2)
+        f = h2.representative((1,) * len(h2.factors))
+        ext, nb, nc = extension_from_2cocycle(f), m.coeff.order, m.base.order
+        for (b1, c1), (b2, c2) in itertools.product(
+                itertools.product(range(nb), range(nc)), repeat=2):
+            want = m.coeff.add(m.coeff.add(b1, m.xi(c1, b2)), f.value(c1, c2))
+            assert ext.middle.add(b1 * nc + c1, b2 * nc + c2) == want * nc + m.base.add(c1, c2)
+        assert ext.kernel_arrow.map.tolist() == [b * nc for b in range(nb)]
+        assert ext.quotient_arrow.map.tolist() == [c for _ in range(nb) for c in range(nc)]
 
     sub = subgroup_from_elements(s3, (0, 2, 1))
     for i, j in itertools.product(range(3), repeat=2):

@@ -1,6 +1,7 @@
 """Abelian extensions: Baer sum, fibre morphisms, pushforwards, pi1."""
 
 import numpy as np
+import pytest
 
 from bfly.actions import cmodule_morphism, zero_morphism
 from bfly.bridges import class_of_extension, extension_from_2cocycle
@@ -31,6 +32,15 @@ def k4_ext(module, z2):
 
     k4 = build_group(table)
     return build_extension(build_hom(z2, k4, [0, 1]), build_hom(k4, z2, [0, 0, 1, 1]))
+
+
+def test_bridge_requires_a_normalized_cocycle(z2_z2_triv):
+    from bfly.cohomology import Cochain
+    from bfly.errors import NotACocycle
+
+    shifted = Cochain(2, z2_z2_triv, np.ones((2, 2), dtype=np.int64))
+    with pytest.raises(NotACocycle, match="not normalized"):
+        extension_from_2cocycle(shifted)
 
 
 def test_unit_extension_splits(z2_z2_triv):

@@ -1,10 +1,16 @@
 """Smith normal form and exact integer linear algebra."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfly.snf import (
+    SmithDecomposition,
+    _fits,
+    _obj,
     column_lattice_basis,
     in_column_lattice,
     integer_kernel,
@@ -89,3 +95,197 @@ def test_column_lattice_membership():
     assert not in_column_lattice(a, np.array([1, 0], dtype=object))
     basis = column_lattice_basis(a)
     assert basis.shape == (2, 2)
+
+
+# --- bit-identity with the cell-by-cell elimination -------------------------
+
+
+def reference_snf(a) -> SmithDecomposition:
+    """The elimination as one Python loop over cells, before vectorising."""
+    s = _obj(a).copy()
+    m, n = s.shape
+    u = np.eye(m, dtype=object)
+    uinv = np.eye(m, dtype=object)
+    v = np.eye(n, dtype=object)
+    vinv = np.eye(n, dtype=object)
+
+    def row_swap(i, j):
+        s[[i, j], :] = s[[j, i], :]
+        u[[i, j], :] = u[[j, i], :]
+        uinv[:, [i, j]] = uinv[:, [j, i]]
+
+    def col_swap(i, j):
+        s[:, [i, j]] = s[:, [j, i]]
+        v[:, [i, j]] = v[:, [j, i]]
+        vinv[[i, j], :] = vinv[[j, i], :]
+
+    def row_add(i, j, q):
+        # row_i += q * row_j
+        s[i, :] += q * s[j, :]
+        u[i, :] += q * u[j, :]
+        uinv[:, j] -= q * uinv[:, i]
+
+    def col_add(i, j, q):
+        # col_i += q * col_j
+        s[:, i] += q * s[:, j]
+        v[:, i] += q * v[:, j]
+        vinv[j, :] -= q * vinv[i, :]
+
+    def row_negate(i):
+        s[i, :] = -s[i, :]
+        u[i, :] = -u[i, :]
+        uinv[:, i] = -uinv[:, i]
+
+    t = 0
+    while t < min(m, n):
+        # find a pivot of minimal absolute value in the remaining block
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                val = abs(s[i, j])
+                if val and (best is None or val < best):
+                    best, pivot = val, (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        row_swap(t, i)
+        col_swap(t, j)
+        while True:
+            done = True
+            for i in range(t + 1, m):
+                if s[i, t] % s[t, t] != 0:
+                    done = False
+                q = -(s[i, t] // s[t, t])
+                if q:
+                    row_add(i, t, q)
+            for j in range(t + 1, n):
+                if s[t, j] % s[t, t] != 0:
+                    done = False
+                q = -(s[t, j] // s[t, t])
+                if q:
+                    col_add(j, t, q)
+            cleared = all(s[i, t] == 0 for i in range(t + 1, m)) and all(
+                s[t, j] == 0 for j in range(t + 1, n)
+            )
+            if cleared and done:
+                # enforce divisibility against the rest of the block
+                offender = None
+                for i in range(t + 1, m):
+                    for j in range(t + 1, n):
+                        if s[i, j] % s[t, t] != 0:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+                if offender is None:
+                    break
+                row_add(t, offender, 1)
+                continue
+            if cleared:
+                continue
+            # pivot changed size; re-select minimal entry in the cross
+            best_i, best_j, best_v = t, t, abs(s[t, t])
+            for i in range(t, m):
+                if s[i, t] and abs(s[i, t]) < best_v:
+                    best_i, best_j, best_v = i, t, abs(s[i, t])
+            for j in range(t, n):
+                if s[t, j] and abs(s[t, j]) < best_v:
+                    best_i, best_j, best_v = t, j, abs(s[t, j])
+            row_swap(t, best_i)
+            col_swap(t, best_j)
+        if s[t, t] < 0:
+            row_negate(t)
+        t += 1
+
+    return SmithDecomposition(u=u, s=s, v=v, uinv=uinv, vinv=vinv)
+
+
+def _matrices(entries, lo=0, hi=6):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).flatmap(
+        lambda mn: st.lists(
+            st.lists(entries, min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0],
+            max_size=mn[0],
+        ).map(lambda rows: np.array(rows, dtype=object).reshape(mn))
+    )
+
+
+_near_narrow = st.sampled_from([0, 1, -1, 2, 2**31 - 1, -(2**31 - 1), 2**30 + 7, 3 * 2**29])
+
+bit_identity_inputs = st.one_of(
+    _matrices(st.integers(-9, 9)),
+    _matrices(st.integers(-(10**6), 10**6)),
+    # entries past 2**62 and past 2**100 start as Python ints
+    _matrices(st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64)), hi=4),
+    _matrices(st.one_of(st.integers(-9, 9), st.integers(-(2**101), 2**101)), hi=4),
+    # int64 entries whose elimination outgrows machine words part-way
+    _matrices(st.one_of(st.integers(-3, 3), _near_narrow), lo=2, hi=5),
+    _matrices(st.just(0)),
+)
+
+
+def _assert_same(dec: SmithDecomposition, ref: SmithDecomposition) -> None:
+    for name in ("u", "s", "v", "uinv", "vinv"):
+        got, want = getattr(dec, name), getattr(ref, name)
+        assert got.dtype == object and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        assert all(type(x) is int for x in got.flat), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(bit_identity_inputs)
+def test_snf_matches_cell_by_cell_elimination(a):
+    _assert_same(smith_normal_form(a), reference_snf(a))
+
+
+def test_snf_widens_part_way_and_stays_exact():
+    """Entries below 2**31 start in int64; the determinant is near 2**92."""
+    a = np.array(
+        [[2**31 - 1, 2**30 + 7, 3], [5, 2**31 - 3, 2**29], [2**30, 11, 2**31 - 5]],
+        dtype=object,
+    )
+    dec = smith_normal_form(a)
+    _assert_same(dec, reference_snf(a))
+    assert np.array_equal(dec.u @ a @ dec.v, dec.s)
+    assert dec.s[2, 2] >= 2**62
+
+
+def test_word_bound_counts_every_term_of_a_product():
+    """A matrix-vector product adds len(q) terms into each entry."""
+    src, dst = np.full((3, 4), 2**30, dtype=np.int64), np.zeros(3, dtype=np.int64)
+    assert _fits(2**31, (src, dst, 1))
+    assert not _fits(2**31, (src, dst, 4))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (3, 4)])
+def test_snf_of_empty_and_zero_matrices(shape):
+    a = np.zeros(shape, dtype=object)
+    _assert_same(smith_normal_form(a), reference_snf(a))
+
+
+def test_classify_matches_solving_against_the_adapted_basis():
+    """classify reuses the factorisations made by cohomology(); the
+    coordinates must equal a fresh solve against the adapted basis."""
+    from bfly.bridges import cocycle_of_crossed_extension, cocycle_of_extension
+    from bfly.catalog import h2_catalog, h3_catalog, standard_modules
+    from bfly.cohomology import cohomology
+
+    def direct(group, f):
+        y = solve_integer(group._basis, group._vector(f))
+        return tuple(int(y[i]) % s for i, s in enumerate(group._sdiag) if s > 1)
+
+    modules = standard_modules()
+    for _, m in modules:
+        h2, h3 = cohomology(m, 2), cohomology(m, 3)
+        cocycles = [(h2, cocycle_of_extension(e)) for e in h2_catalog(m)]
+        cocycles += [
+            (h3, cocycle_of_crossed_extension(e)) for _, e in h3_catalog(m, modules)
+        ]
+        cocycles += [
+            (g, g.representative(coords))
+            for g in (h2, h3)
+            for coords in itertools.product(*[range(n) for n in g.factors])
+        ]
+        for group, f in cocycles:
+            assert group.classify(f).coords == direct(group, f)
