@@ -5,8 +5,8 @@ deterministic.  The associativity check is Light's test (Clifford & Preston,
 *The Algebraic Theory of Semigroups* I, 1961, §1.2): a finite magma is
 associative iff (x*s)*y == x*(s*y) for all x, y and every s in a set S that
 generates it as a magma.  That costs O(n^2 |S|) instead of O(n^3); for a
-group |S| <= log2 n.  The homomorphism and action scans are O(n^2) and
-O(|G|^2 |X|) numpy comparisons.
+group |S| <= log2 n.  The homomorphism and action scans are O(n^2) per map
+and O(|G|^2 |X|) numpy comparisons.
 """
 
 import numpy as np
@@ -61,10 +61,20 @@ def assoc_violation(table: np.ndarray):
 
 def hom_violation(dom_table: np.ndarray, cod_table: np.ndarray, m: np.ndarray):
     """First (a, b) with m[a+b] != m[a]+m[b], or None."""
-    bad = m[dom_table] != cod_table[np.ix_(m, m)]
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        return int(a), int(b)
+    witness = homs_violation(dom_table, cod_table, m[None])
+    return None if witness is None else witness[1:]
+
+
+def homs_violation(dom_table: np.ndarray, cod_table: np.ndarray, maps: np.ndarray):
+    """First (row, a, b) with maps[row, a+b] != maps[row, a]+maps[row, b], or None."""
+    n = dom_table.shape[0]
+    step = max(1, _CHUNK_CELLS // (n * n))
+    for lo in range(0, len(maps), step):
+        m = maps[lo:lo + step]
+        bad = m[:, dom_table] != cod_table[m[:, :, None], m[:, None, :]]
+        if bad.any():
+            row, a, b = np.argwhere(bad)[0]
+            return lo + int(row), int(a), int(b)
     return None
 
 

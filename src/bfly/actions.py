@@ -244,9 +244,7 @@ def cmodule_product(m1: CModule, m2: CModule) -> ModuleProductResult:
 def codiagonal(m: CModule) -> tuple[ModuleProductResult, CModuleMorphism]:
     """The product module M x M and the sum map (b1, b2) |-> b1 + b2."""
     prod = cmodule_product(m, m)
-    n = m.coeff.order
-    vals = [m.coeff.add(b1, b2) for b1 in range(n) for b2 in range(n)]
-    return prod, cmodule_morphism(prod.module, m, np.asarray(vals))
+    return prod, pair_codiagonal(prod, m)
 
 
 def pair_codiagonal(prod: ModuleProductResult, target: CModule) -> CModuleMorphism:

@@ -17,7 +17,6 @@ import numpy as np
 from .actions import (
     CModule,
     CModuleMorphism,
-    GroupAction,
     build_action,
     cmodule_morphism,
     cmodule_product,
@@ -26,7 +25,6 @@ from .actions import (
 )
 from .crossed import (
     CrossedModule,
-    InternalGroupoid,
     associated_groupoid,
     build_crossed_module,
 )
@@ -213,24 +211,6 @@ def build_xext_morphism(
     return XExtMorphism(dom=dom, cod=cod, beta=beta, f2=f2, f1=f1)
 
 
-def compose_xext_morphisms(outer: XExtMorphism, inner: XExtMorphism) -> XExtMorphism:
-    from .actions import compose_morphisms
-
-    return build_xext_morphism(
-        inner.dom,
-        outer.cod,
-        compose_morphisms(outer.beta, inner.beta),
-        compose(outer.f2, inner.f2),
-        compose(outer.f1, inner.f1),
-    )
-
-
-def identity_xext_morphism(e: CrossedExtension) -> XExtMorphism:
-    return build_xext_morphism(
-        e, e, identity_morphism(e.module), identity_hom(e.e2), identity_hom(e.e1)
-    )
-
-
 # --- pushforward, product, tensor, inverse --------------------------------
 
 
@@ -334,10 +314,6 @@ def product_xext_with_data(
         for xp in ep.e2.elements()
     }
     return XExtProduct(xext=result, pb=pb, middle_pair_index=mid_index)
-
-
-def product_xext(e: CrossedExtension, ep: CrossedExtension) -> CrossedExtension:
-    return product_xext_with_data(e, ep).xext
 
 
 def tensor_xext_with_data(e: CrossedExtension, ep: CrossedExtension):

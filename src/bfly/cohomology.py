@@ -17,7 +17,7 @@ import numpy as np
 
 from .actions import CModule
 from .errors import LawViolation, NotACocycle, SizeCap, require
-from .groups import FiniteGroup, GroupHom, _group, direct_product, find_isomorphisms
+from .groups import FiniteGroup, _group, direct_product, find_isomorphisms
 from .snf import (
     SmithDecomposition,
     column_lattice_basis,
@@ -427,22 +427,6 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
 
 
 # --- brute-force cross-check ----------------------------------------------
-
-
-def enumerate_normalized_cochains(module: CModule, degree: int):
-    """Yield every normalized cochain; SizeCap above the brute-force cap."""
-    nc = module.base.order
-    nb = module.coeff.order
-    tuples = _nonzero_tuples(nc, degree)
-    if nb ** len(tuples) > BRUTE_FORCE_CAP:
-        raise SizeCap(
-            f"{nb}^{len(tuples)} candidates exceed the brute-force cap"
-        )
-    for assignment in itertools.product(range(nb), repeat=len(tuples)):
-        values = np.zeros((nc,) * degree, dtype=np.int64)
-        for t, v in zip(tuples, assignment):
-            values[t] = v
-        yield Cochain(degree, module, values)
 
 
 def _candidate_matrix(module: CModule, degree: int) -> np.ndarray:

@@ -181,9 +181,3 @@ def induced_kernel_module(xm: CrossedModule, p: GroupHom) -> CModule:
                         f"lifts {g0} and {g} of {c} act differently on {b}"
                     )
     return build_cmodule(c_grp, b_grp, act)
-
-
-def kernel_embedding(xm: CrossedModule) -> GroupHom:
-    """Canonical embedding of ker(boundary), elements in increasing order."""
-    ker = subgroup_from_elements(xm.e2, xm.boundary.kernel_elements())
-    return ker.embedding

@@ -258,12 +258,6 @@ def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     return GroupHom(dom=inner.dom, cod=outer.cod, map=outer.map[inner.map])
 
 
-def neg_hom(f: GroupHom) -> GroupHom:
-    """a |-> -f(a); a homomorphism whenever the image lies in an abelian part."""
-    m = f.cod.inv[f.map]
-    return build_hom(f.dom, f.cod, m)
-
-
 # --- subgroups and quotients ---------------------------------------------
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require
+
 _WORD_BOUND = 1 << 62   # int64 entries stay below this, one bit to spare
 _WIDE_INPUT = 1 << 31   # inputs with entries this large start as Python ints
 
@@ -126,6 +128,7 @@ def smith_normal_form(a) -> SmithDecomposition:
             # the cross now holds the remainders mod the pivot
             if s[t + 1:, t].any() or s[t, t + 1:].any():
                 # pivot changed size; re-select minimal entry in the cross
+                old = abs(s[t, t])
                 i = t + _smallest(s[t:, t])
                 j = t + _smallest(s[t, t:])
                 if abs(s[t, j]) < abs(s[i, t]):
@@ -134,6 +137,8 @@ def smith_normal_form(a) -> SmithDecomposition:
                     j = t
                 row_swap(t, i)
                 col_swap(t, j)
+                # remainders are smaller than the old pivot, so this ends
+                require(abs(s[t, t]) < old, "Smith pivot did not shrink")
                 continue
             # enforce divisibility against the rest of the block
             offenders = np.flatnonzero((s[t + 1:, t + 1:] % s[t, t] != 0).any(axis=1))

@@ -6,53 +6,13 @@ passed check is a proof for the instance at hand.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .actions import CModuleMorphism, compose_morphisms
-from .butterflies import CrossedExtension, XExtMorphism, build_xext_morphism
+from .butterflies import CrossedExtension, XExtMorphism
 from .errors import ModuleMismatch, require
-from .extensions import AbelianExtension, ExtensionLift, ExtensionMorphism
-from .groups import GroupHom, all_homs, close_under_group, compose
-
-
-def extension_morphisms_over(
-    e: AbelianExtension, g: AbelianExtension, beta: CModuleMorphism
-) -> list[GroupHom]:
-    """All mid: E -> G with mid.kappa = kappa_g.beta and gamma_g.mid = gamma."""
-    if beta.dom != e.module or beta.cod != g.module:
-        raise ModuleMismatch("beta must run between the two kernel modules")
-    k1, g1 = e.kernel_arrow, e.quotient_arrow
-    k2, g2 = g.kernel_arrow, g.quotient_arrow
-    em, en = e.middle, g.middle
-    c_grp, b_grp = g1.cod, k1.dom
-    in_b = {k1(b): b for b in b_grp.elements()}
-    section = {}
-    for x in em.elements():
-        section.setdefault(g1(x), x)
-    fibres2: dict[int, list[int]] = {c: [] for c in c_grp.elements()}
-    for x in en.elements():
-        fibres2[g2(x)].append(x)
-    cs = sorted(c_grp.elements())
-    out = []
-    from . import _kernels
-
-    for choice in itertools.product(*[fibres2[c] for c in cs]):
-        t = dict(zip(cs, choice))
-        mapping = np.zeros(em.order, dtype=np.int64)
-        for x in em.elements():
-            c = g1(x)
-            b = in_b[em.sub(x, section[c])]
-            mapping[x] = en.add(k2(beta(b)), t[c])
-        if _kernels.hom_violation(em.table, en.table, mapping) is not None:
-            continue
-        mid = GroupHom(dom=em, cod=en, map=mapping)
-        if compose(mid, k1) != compose(k2, beta.hom) or compose(g2, mid) != g1:
-            continue
-        out.append(mid)
-    out.sort(key=lambda m: m.map.tolist())
-    return out
+from .extensions import AbelianExtension, ExtensionLift, extension_morphisms_over
+from .groups import all_homs, close_under_group, compose
 
 
 def check_cocartesian_extension(

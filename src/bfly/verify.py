@@ -17,7 +17,6 @@ from .actions import (
     all_module_morphisms,
     identity_morphism,
     trivial_module,
-    zero_morphism,
 )
 from .bridges import (
     class_of_crossed_extension,

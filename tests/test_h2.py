@@ -1,10 +1,18 @@
 """Abelian extensions: Baer sum, fibre morphisms, pushforwards, pi1."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from bfly.actions import cmodule_morphism, zero_morphism
-from bfly.bridges import class_of_extension, extension_from_2cocycle
+from bfly import _kernels
+from bfly.actions import all_module_morphisms, cmodule_morphism, zero_morphism
+from bfly.bridges import (
+    class_of_extension,
+    cocycle_of_extension,
+    extension_from_2cocycle,
+)
+from bfly.catalog import h2_catalog, standard_modules
 from bfly.cohomology import build_cochain, cohomology, cyclic_group, z1
 from bfly.extensions import (
     are_fibre_isomorphic,
@@ -15,7 +23,8 @@ from bfly.extensions import (
     pushforward_extension,
     unit_extension,
 )
-from bfly.groups import build_hom, find_isomorphisms
+from bfly.errors import ModuleMismatch
+from bfly.groups import GroupHom, build_hom, compose, find_isomorphisms
 from bfly.universal import check_cocartesian_extension, extension_morphisms_over
 
 
@@ -111,3 +120,85 @@ def test_pushforward_middle_group(z2_z2_triv, z4):
     e = z4_ext(z2_z2_triv)
     lift = pushforward_extension(e, identity_morphism(z2_z2_triv))
     assert find_isomorphisms(lift.target.middle, z4, limit=1)
+
+
+# --- the reduced-equation search against the candidate loop it replaced ----
+
+
+def reference_morphisms_over(e, g, beta):
+    """The |B'|^|C| candidate loop, kept verbatim as a reference."""
+    if beta.dom != e.module or beta.cod != g.module:
+        raise ModuleMismatch("beta must run between the two kernel modules")
+    k1, g1 = e.kernel_arrow, e.quotient_arrow
+    k2, g2 = g.kernel_arrow, g.quotient_arrow
+    em, en = e.middle, g.middle
+    c_grp, b_grp = g1.cod, k1.dom
+    in_b = {k1(b): b for b in b_grp.elements()}
+    section = {}
+    for x in em.elements():
+        section.setdefault(g1(x), x)
+    fibres2: dict[int, list[int]] = {c: [] for c in c_grp.elements()}
+    for x in en.elements():
+        fibres2[g2(x)].append(x)
+    cs = sorted(c_grp.elements())
+    out = []
+
+    for choice in itertools.product(*[fibres2[c] for c in cs]):
+        t = dict(zip(cs, choice))
+        mapping = np.zeros(em.order, dtype=np.int64)
+        for x in em.elements():
+            c = g1(x)
+            b = in_b[em.sub(x, section[c])]
+            mapping[x] = en.add(k2(beta(b)), t[c])
+        if _kernels.hom_violation(em.table, en.table, mapping) is not None:
+            continue
+        mid = GroupHom(dom=em, cod=en, map=mapping)
+        if compose(mid, k1) != compose(k2, beta.hom) or compose(g2, mid) != g1:
+            continue
+        out.append(mid)
+    out.sort(key=lambda m: m.map.tolist())
+    return out
+
+
+@pytest.fixture(scope="module")
+def catalog_sweep():
+    """(e, g, beta): every standard module whose split extension has order
+    at most 16, up to 2 betas to each module on its base, and up to 3
+    catalog sources and 3 catalog targets."""
+    cats = [h2_catalog(m) for _, m in standard_modules()]
+    cats = [(cat[0].module, cat) for cat in cats if cat[0].middle.order <= 16]
+    return [
+        (e, g, beta)
+        for m1, cat1 in cats
+        for m2, cat2 in cats
+        if m1.base == m2.base
+        for beta in all_module_morphisms(m1, m2)[:2]
+        for e in cat1[:3]
+        for g in cat2[:3]
+    ]
+
+
+def test_search_matches_the_candidate_loop(catalog_sweep):
+    assert len(catalog_sweep) == 862
+    for e, g, beta in catalog_sweep:
+        got = extension_morphisms_over(e, g, beta)
+        want = reference_morphisms_over(e, g, beta)
+        assert [m.map.tolist() for m in got] == [m.map.tolist() for m in want]
+        assert all(m.dom == e.middle and m.cod == g.middle for m in got)
+
+
+def test_search_is_a_torsor_that_exists_by_class(catalog_sweep):
+    nonempty = 0
+    for e, g, beta in catalog_sweep:
+        found = extension_morphisms_over(e, g, beta)
+        assert len(found) in (0, z1(beta.cod).group.order)
+        h2 = cohomology(beta.cod, 2)
+        pushed = pushforward_extension(e, beta).target
+        same = (h2.classify(cocycle_of_extension(pushed))
+                == h2.classify(cocycle_of_extension(g)))
+        assert bool(found) == same
+        nonempty += bool(found)
+    assert 0 < nonempty < len(catalog_sweep)
+    for _, m in standard_modules():
+        unit = unit_extension(m)
+        assert len(fibre_morphisms(unit, unit)) == z1(m).group.order
