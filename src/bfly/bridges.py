@@ -14,6 +14,7 @@ from .butterflies import CrossedExtension
 from .cohomology import (
     CocycleClass,
     Cochain,
+    _faces,
     build_cochain,
     cohomology,
     is_cocycle,
@@ -50,43 +51,40 @@ def extension_from_2cocycle(f: Cochain) -> AbelianExtension:
     return ext
 
 
-def _pointed_section(gamma, rng: np.random.Generator | None):
-    """Section of a surjection with s(0) = 0; least-index or seeded-random."""
-    fibres: dict[int, list[int]] = {}
-    for e in gamma.dom.elements():
-        fibres.setdefault(gamma(e), []).append(e)
-    section = {}
-    for c, es in sorted(fibres.items()):
-        if c == 0:
-            section[c] = 0
-        elif rng is None:
-            section[c] = min(es)
-        else:
-            section[c] = int(es[rng.integers(len(es))])
+def _pointed_section(gamma, rng: np.random.Generator | None) -> np.ndarray:
+    """Section of gamma over its image with s(0) = 0, and -1 off the image.
+
+    Each fibre gives its least index, or a seeded-random one.
+    """
+    section = np.full(gamma.cod.order, -1, dtype=np.int64)
+    section[0] = 0
+    for c in range(1, gamma.cod.order):
+        fibre = np.flatnonzero(gamma.map == c)
+        if len(fibre):
+            section[c] = fibre[0] if rng is None else fibre[rng.integers(len(fibre))]
     return section
+
+
+def _preimage(inclusion) -> np.ndarray:
+    """Inverse of an injective hom on its image, and -1 off the image."""
+    out = np.full(inclusion.cod.order, -1, dtype=np.int64)
+    out[inclusion.map] = np.arange(inclusion.dom.order)
+    return out
+
+
+def _defect(g, s: np.ndarray, c_table: np.ndarray) -> np.ndarray:
+    """s(c1) + s(c2) - s(c1 + c2) in g, over all pairs (c1, c2)."""
+    return g.table[g.table[s[:, None], s[None, :]], g.inv[s[c_table]]]
 
 
 def cocycle_of_extension(
     ext: AbelianExtension, rng: np.random.Generator | None = None
 ) -> Cochain:
     """Failure of a pointed section to be a homomorphism, as a 2-cochain."""
-    m = ext.module
-    b_grp, c_grp = m.coeff, m.base
-    e_grp = ext.middle
-    kappa, gamma = ext.kernel_arrow, ext.quotient_arrow
-    in_b = {kappa(b): b for b in b_grp.elements()}
-    s = _pointed_section(gamma, rng)
-    nc = c_grp.order
-    vals = np.zeros((nc, nc), dtype=np.int64)
-    for c1 in range(nc):
-        for c2 in range(nc):
-            defect = e_grp.sub(
-                e_grp.add(s[c1], s[c2]), s[c_grp.add(c1, c2)]
-            )
-            vals[c1, c2] = in_b[defect]
-    f = build_cochain(m, 2, vals)
-    require(is_cocycle(f))
-    return f
+    s = _pointed_section(ext.quotient_arrow, rng)
+    vals = _preimage(ext.kernel_arrow)[_defect(ext.middle, s, ext.module.base.table)]
+    require((vals >= 0).all(), "section defect outside the kernel")
+    return build_cochain(ext.module, 2, vals)
 
 
 def class_of_extension(
@@ -103,43 +101,23 @@ def cocycle_of_crossed_extension(
     Sections: s of p (pointed), t of the boundary onto its image
     (pointed); g(c1,c2) = t(s(c1)+s(c2)-s(c1+c2)); the defect
     s(c1)*g(c2,c3) + g(c1,c2+c3) - g(c1+c2,c3) - g(c1,c2) lies in the
-    kernel and defines the 3-cocycle.
+    kernel and defines the 3-cocycle.  Its terms are faces 0, 2, 1, 3 of
+    (c1, c2, c3), summed in this order because E2 need not be abelian.
     """
-    m = e.module
-    b_grp, c_grp = m.coeff, m.base
-    e1, e2 = e.e1, e.e2
-    bnd = e.xm.boundary
+    m, e2 = e.module, e.e2
     s = _pointed_section(e.p, rng)
-    image = sorted(set(bnd.map.tolist()))
-    t_fibres: dict[int, list[int]] = {g: [] for g in image}
-    for x in e2.elements():
-        t_fibres[bnd(x)].append(x)
-    t = {}
-    for g in image:
-        if g == 0:
-            t[g] = 0
-        elif rng is None:
-            t[g] = min(t_fibres[g])
-        else:
-            t[g] = int(t_fibres[g][rng.integers(len(t_fibres[g]))])
-    in_b = {e.j(b): b for b in b_grp.elements()}
-    nc = c_grp.order
-
-    def g_of(c1: int, c2: int) -> int:
-        return t[e1.sub(e1.add(s[c1], s[c2]), s[c_grp.add(c1, c2)])]
-
-    vals = np.zeros((nc, nc, nc), dtype=np.int64)
-    for c1 in range(nc):
-        for c2 in range(nc):
-            for c3 in range(nc):
-                z = e.xm.act(s[c1], g_of(c2, c3))
-                z = e2.add(z, g_of(c1, c_grp.add(c2, c3)))
-                z = e2.sub(z, g_of(c_grp.add(c1, c2), c3))
-                z = e2.sub(z, g_of(c1, c2))
-                vals[c1, c2, c3] = in_b[z]
-    f = build_cochain(m, 3, vals)
-    require(is_cocycle(f))
-    return f
+    t = _pointed_section(e.xm.boundary, rng)
+    g = t[_defect(e.e1, s, m.base.table)]
+    require((g >= 0).all(), "section defect outside the boundary image")
+    faces, first = _faces(m.base, 2)
+    terms = g.reshape(-1)[faces]
+    z = e.xm.action.act[s[first], terms[:, 0]]
+    z = e2.table[z, terms[:, 2]]
+    z = e2.table[z, e2.inv[terms[:, 1]]]
+    z = e2.table[z, e2.inv[terms[:, 3]]]
+    vals = _preimage(e.j)[z]
+    require((vals >= 0).all(), "associativity defect outside j(B)")
+    return build_cochain(m, 3, vals.reshape((m.base.order,) * 3))
 
 
 def class_of_crossed_extension(

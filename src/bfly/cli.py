@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with order_cap(get_order_cap() if args.cap is None else args.cap):
             return _dispatch(args)
-    except (BflyError, FileNotFoundError, KeyError) as exc:
+    except (BflyError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -122,14 +122,19 @@ class Cochain:
 
 
 def build_cochain(module: CModule, degree: int, values) -> Cochain:
-    nc = module.base.order
-    arr = np.asarray(values, dtype=np.int64)
+    nc, nb = module.base.order, module.coeff.order
+    arr = np.asarray(values)    # range-checked before it narrows to int64
     if arr.shape != (nc,) * degree:
         raise NotACocycle(f"values must have shape {(nc,) * degree}")
-    for t in itertools.product(range(nc), repeat=degree):
-        if 0 in t and arr[t] != 0:
-            raise NotACocycle(f"not normalized at {t}")
-    arr = arr.copy()
+    outside = (arr < 0) | (arr >= nb)
+    if outside.any():
+        t = tuple(int(i) for i in np.argwhere(outside)[0])
+        raise NotACocycle(f"value {arr[t]} at {t} is not an element of B")
+    degenerate = (np.indices(arr.shape) == 0).any(axis=0) & (arr != 0)
+    if degenerate.any():
+        t = tuple(int(i) for i in np.argwhere(degenerate)[0])
+        raise NotACocycle(f"not normalized at {t}")
+    arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return Cochain(degree=degree, module=module, values=arr)
 
@@ -149,25 +154,54 @@ def neg_cochain(f: Cochain) -> Cochain:
     return Cochain(f.degree, f.module, f.module.coeff.inv[f.values])
 
 
+@lru_cache(maxsize=64)
+def _faces(base: FiniteGroup, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bar faces of every (degree+1)-tuple t of C, in row-major order.
+
+    Returns (faces, first).  faces[r, i] is the row-major flat index of the
+    i-th face of tuple r: face 0 is t[1:] (acted on by first[r] = t[0]),
+    face i for 1 <= i <= degree is t with t[i-1] + t[i] merged, and face
+    degree+1 is t[:degree].  Face i enters the coboundary with sign (-1)^i.
+    """
+    nc = base.order
+    t = np.indices((nc,) * (degree + 1)).reshape(degree + 1, -1)
+    weights = nc ** np.arange(degree - 1, -1, -1)
+    merged = [
+        np.concatenate([t[: i - 1], base.table[t[i - 1], t[i]][None], t[i + 1:]])
+        for i in range(1, degree + 1)
+    ]
+    faces = np.stack([weights @ f for f in (t[1:], *merged, t[:degree])], axis=1)
+    first = t[0]
+    faces.setflags(write=False)
+    first.setflags(write=False)
+    return faces, first
+
+
+def _coboundary_values(
+    module: CModule, degree: int, rows: np.ndarray, cols=slice(None)
+) -> np.ndarray:
+    """Coboundary of each cochain row at the (degree+1)-tuples ``cols``.
+
+    ``rows`` holds one cochain per row as its row-major flattened values;
+    ``cols`` indexes the rows of the face plan.  The result keeps the dtype
+    of ``rows``.
+    """
+    faces, first = _faces(module.base, degree)
+    faces, first = faces[cols], first[cols]
+    add = module.coeff.table.astype(rows.dtype)
+    neg = module.coeff.inv.astype(rows.dtype)
+    terms = rows[:, faces]
+    acc = module.action.act.astype(rows.dtype)[first, terms[..., 0]]
+    for i in range(1, degree + 2):
+        acc = add[acc, terms[..., i] if i % 2 == 0 else neg[terms[..., i]]]
+    return acc
+
+
 def coboundary(f: Cochain) -> Cochain:
     """Group-level bar coboundary; target degree f.degree + 1."""
-    m = f.module
-    c_grp, b_grp = m.base, m.coeff
-    nc = c_grp.order
-    d = f.degree
-    out = np.zeros((nc,) * (d + 1), dtype=np.int64)
-    for t in itertools.product(range(nc), repeat=d + 1):
-        acc = m.xi(t[0], int(f.values[t[1:]]))
-        sign = -1
-        for i in range(d):
-            merged = t[:i] + (c_grp.add(t[i], t[i + 1]),) + t[i + 2:]
-            v = int(f.values[merged])
-            acc = b_grp.add(acc, v if sign > 0 else b_grp.neg(v))
-            sign = -sign
-        v = int(f.values[t[:d]])
-        acc = b_grp.add(acc, v if sign > 0 else b_grp.neg(v))
-        out[t] = acc
-    return Cochain(d + 1, m, out)
+    d, nc = f.degree, f.module.base.order
+    vals = _coboundary_values(f.module, d, f.values.reshape(1, -1))
+    return Cochain(d + 1, f.module, vals.reshape((nc,) * (d + 1)))
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -178,25 +212,12 @@ def is_cocycle(f: Cochain) -> bool:
 
 
 def _nonzero_tuples(nc: int, degree: int) -> list[tuple[int, ...]]:
-    if degree == 0:
-        return [()]
-    return [
-        t
-        for t in itertools.product(range(1, nc), repeat=degree)
-    ]
+    return list(itertools.product(range(1, nc), repeat=degree))
 
 
-def _action_matrix(m: CModule, dec: CyclicDecomposition, c: int) -> np.ndarray:
-    """Integer matrix of xi(c, -) in the cyclic coordinates."""
-    k = max(1, len(dec.factors))
-    mat = np.zeros((k, k), dtype=object)
-    for j, d in enumerate(dec.factors):
-        e_j = dec.from_vec[
-            tuple(1 if i == j else 0 for i in range(len(dec.factors)))
-        ]
-        img = m.xi(c, e_j)
-        mat[:, j] = dec.to_vec[img]
-    return mat
+def _nonzero_mask(nc: int, degree: int) -> np.ndarray:
+    """Which degree-tuples of C, in row-major order, have no zero entry."""
+    return np.indices((nc,) * degree).reshape(degree, nc ** degree).all(axis=0)
 
 
 def _coboundary_matrix(m: CModule, dec: CyclicDecomposition, degree: int):
@@ -204,32 +225,27 @@ def _coboundary_matrix(m: CModule, dec: CyclicDecomposition, degree: int):
 
     Rows are indexed by nonzero (degree+1)-tuples, columns by nonzero
     degree-tuples (degree 0 has the single empty tuple), each times the
-    number of cyclic coordinates of B.
+    number of cyclic coordinates of B.  Face 0 of a tuple t contributes the
+    matrix of xi(t[0], -), face i the block (-1)^i times the identity.
     """
-    c_grp = m.base
-    nc = c_grp.order
-    k = max(1, len(dec.factors))
-    src = _nonzero_tuples(nc, degree)
-    tgt = _nonzero_tuples(nc, degree + 1)
-    src_pos = {t: i for i, t in enumerate(src)}
-    mat = np.zeros((len(tgt) * k, len(src) * k), dtype=object)
-    eye = np.eye(k, dtype=object)
-
-    def add_block(row: int, t: tuple[int, ...], block) -> None:
-        if degree > 0 and 0 in t:
-            return
-        col = src_pos[t]
-        mat[row * k: (row + 1) * k, col * k: (col + 1) * k] += block
-
-    for r, t in enumerate(tgt):
-        add_block(r, t[1:], _action_matrix(m, dec, t[0]))
-        sign = -1
-        for i in range(degree):
-            merged = t[:i] + (c_grp.add(t[i], t[i + 1]),) + t[i + 2:]
-            add_block(r, merged, eye * sign)
-            sign = -sign
-        add_block(r, t[:degree], eye * sign)
-    return mat, src, tgt
+    nc, kk = m.base.order, len(dec.factors)
+    k = max(1, kk)
+    faces, first = _faces(m.base, degree)
+    keep = _nonzero_mask(nc, degree + 1)
+    faces, first = faces[keep], first[keep]
+    src = _nonzero_mask(nc, degree)
+    col_of = np.where(src, np.cumsum(src) - 1, -1)
+    units = [dec.from_vec[tuple(e)] for e in np.eye(kk, dtype=int).tolist()]
+    acts = np.zeros((nc, k, k), dtype=np.int64)
+    acts[:, :, :kk] = np.swapaxes(dec.to_vec[m.action.act[:, units]], 1, 2)
+    rows = np.arange(len(first))
+    mat = np.zeros((len(first), int(src.sum()), k, k), dtype=np.int64)
+    for i in range(degree + 2):
+        cols = col_of[faces[:, i]]
+        hit = cols >= 0
+        block = acts[first[hit]] if i == 0 else (-1) ** i * np.eye(k, dtype=np.int64)
+        np.add.at(mat, (rows[hit], cols[hit]), block)
+    return mat.swapaxes(1, 2).reshape(len(first) * k, -1).astype(object)
 
 
 def _moduli(dec: CyclicDecomposition, count: int) -> list[int]:
@@ -374,8 +390,8 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
         _COHOM_CACHE[key] = result
         return result
 
-    d_up, _, tgt = _coboundary_matrix(module, dec, degree)
-    row_mods = np.diag(np.array(_moduli(dec, len(tgt)), dtype=object))
+    d_up = _coboundary_matrix(module, dec, degree)
+    row_mods = np.diag(np.array(_moduli(dec, d_up.shape[0] // k), dtype=object))
     stacked = np.concatenate([d_up, row_mods], axis=1)
     ker = integer_kernel(stacked)
     proj = ker[:n_unknowns, :]
@@ -385,7 +401,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     basis = column_lattice_basis(coc_gens)
     require(basis.shape == (n_unknowns, n_unknowns))
 
-    d_down, _, _ = _coboundary_matrix(module, dec, degree - 1)
+    d_down = _coboundary_matrix(module, dec, degree - 1)
     cob_gens = np.concatenate([d_down, col_mods], axis=1)
 
     # express coboundaries in the cocycle basis and read off the quotient;
@@ -430,78 +446,44 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
 
 
 def _candidate_matrix(module: CModule, degree: int) -> np.ndarray:
-    """All normalized cochains as rows over the nonzero tuples.
+    """All normalized cochains as rows of row-major flattened values.
 
-    Row order matches itertools.product (first tuple most significant);
-    entries are in the narrowest unsigned dtype that holds B.
+    Row order matches itertools.product over the nonzero tuples (first
+    tuple most significant); entries are in the narrowest unsigned dtype
+    that holds B.
     """
     nc, nb = module.base.order, module.coeff.order
-    tuples = _nonzero_tuples(nc, degree)
-    k = len(tuples)
+    free = np.flatnonzero(_nonzero_mask(nc, degree))
+    k = len(free)
     total = nb ** k
     if total > BRUTE_FORCE_CAP:
         raise SizeCap(f"{nb}^{k} candidates exceed the brute-force cap")
     idx = np.arange(total, dtype=np.int64)
-    dtype = np.min_scalar_type(nb - 1)
-    return np.stack(
-        [(idx // nb ** (k - 1 - pos) % nb).astype(dtype) for pos in range(k)],
-        axis=1,
-    )
+    out = np.zeros((total, nc ** degree), dtype=np.min_scalar_type(nb - 1))
+    for pos, col in enumerate(free):
+        out[:, col] = idx // nb ** (k - 1 - pos) % nb
+    return out
 
 
-def _coboundary_column(
-    module: CModule, degree: int, v: np.ndarray, t: tuple[int, ...]
-) -> np.ndarray:
-    """Coboundary value at the (degree+1)-tuple t of every candidate row."""
-    c_grp, b_grp = module.base, module.coeff
-    add, neg = b_grp.table.astype(v.dtype), b_grp.inv.astype(v.dtype)
-    col_of = {s: i for i, s in enumerate(_nonzero_tuples(c_grp.order, degree))}
-    zero = np.zeros(len(v), dtype=v.dtype)
-
-    def at(s: tuple[int, ...]) -> np.ndarray:
-        return v[:, col_of[s]] if s in col_of else zero
-
-    acc = module.action.act[t[0]].astype(v.dtype)[at(t[1:])]
-    sign = -1
-    for i in range(degree):
-        merged = t[:i] + (c_grp.add(t[i], t[i + 1]),) + t[i + 2:]
-        term = at(merged)
-        acc = add[acc, term if sign > 0 else neg[term]]
-        sign = -sign
-    term = at(t[:degree])
-    return add[acc, term if sign > 0 else neg[term]]
-
-
-def cohomology_brute(module: CModule, degree: int) -> int:
-    """Order of the cohomology group by exhaustive vectorized enumeration.
+def _cocycles(module: CModule, degree: int) -> np.ndarray:
+    """Every normalized cocycle, as a row of _candidate_matrix.
 
     Candidates are filtered one coboundary column at a time, so no
     candidates x targets matrix is ever built.
     """
-    nc = module.base.order
     v = _candidate_matrix(module, degree)
-    for t in itertools.product(range(nc), repeat=degree + 1):
-        v = v[_coboundary_column(module, degree, v, t) == 0]
-    n_cocycles = len(v)
-    if degree == 1:
-        cobs = set()
-        for b in module.coeff.elements():
-            vals = np.asarray(
-                [module.coeff.sub(module.xi(c, b), b)
-                 for c in range(module.base.order)]
-            )
-            cobs.add(vals.tobytes())
-        n_cobs = len(cobs)
-    else:
-        lower = _candidate_matrix(module, degree - 1)
-        images = np.stack(
-            [
-                _coboundary_column(module, degree - 1, lower, t)
-                for t in itertools.product(range(nc), repeat=degree)
-            ],
-            axis=1,
-        )
-        n_cobs = len(np.unique(images, axis=0))
+    for col in range(module.base.order ** (degree + 1)):
+        keep = _coboundary_values(module, degree, v, [col])[:, 0] == 0
+        if not keep.all():
+            v = v[keep]
+    return v
+
+
+def cohomology_brute(module: CModule, degree: int) -> int:
+    """Order of the cohomology group by exhaustive vectorized enumeration."""
+    n_cocycles = len(_cocycles(module, degree))
+    lower = _candidate_matrix(module, degree - 1)
+    n_cobs = len(np.unique(_coboundary_values(module, degree - 1, lower), axis=0))
     require(n_cocycles % n_cobs == 0)
     return n_cocycles // n_cobs
 
@@ -517,23 +499,11 @@ class Z1Result:
 
 def z1(module: CModule) -> Z1Result:
     """Maps phi with phi(c + c') = phi(c) + xi(c, phi(c')), pointwise sum."""
-    c_grp, b_grp = module.base, module.coeff
-    nc, nb = c_grp.order, b_grp.order
-    if nb ** (nc - 1) > BRUTE_FORCE_CAP:
-        raise SizeCap("too many candidate 1-cocycles")
-    maps = []
-    for tail in itertools.product(range(nb), repeat=nc - 1):
-        phi = (0,) + tail
-        if all(
-            phi[c_grp.add(c1, c2)] == b_grp.add(phi[c1], module.xi(c1, phi[c2]))
-            for c1 in range(nc)
-            for c2 in range(nc)
-        ):
-            maps.append(phi)
-    pos = {phi: i for i, phi in enumerate(maps)}
-    table = [
-        [pos[tuple(b_grp.add(a, b) for a, b in zip(p1, p2))] for p2 in maps]
-        for p1 in maps
-    ]
+    nb = module.coeff.order
+    maps = _cocycles(module, 1).astype(np.int64)
+    # rows come in increasing base-|B| code, so a code's rank is its index
+    radix = nb ** np.arange(maps.shape[1] - 1, -1, -1)
+    sums = module.coeff.table[maps[:, None, :], maps[None, :, :]]
+    table = np.searchsorted(maps @ radix, sums @ radix)
     group = _group(table)   # pointwise sum; the zero cocycle comes first
-    return Z1Result(group=group, cocycles=tuple(maps))
+    return Z1Result(group=group, cocycles=tuple(map(tuple, maps.tolist())))

@@ -109,14 +109,10 @@ def butterfly_doc(b: Butterfly) -> dict:
 
 
 def cochain_doc(f: Cochain) -> dict:
-    values = {}
-    import itertools
-
-    nc = f.module.base.order
-    for t in itertools.product(range(nc), repeat=f.degree):
-        v = int(f.values[t])
-        if v:
-            values[",".join(str(i) for i in t)] = v
+    values = {
+        ",".join(str(i) for i in t): int(f.values[tuple(t)])
+        for t in np.argwhere(f.values)
+    }
     return {
         "degree": f.degree,
         "module": cmodule_doc(f.module),
@@ -246,10 +242,12 @@ def parse_butterfly(doc, ptr: str = "") -> Butterfly:
 
 def parse_cochain(doc, ptr: str = "") -> Cochain:
     degree = _expect(doc, "degree", ptr, int)
+    if isinstance(degree, bool) or degree not in (1, 2, 3):
+        raise SchemaError(f"{ptr}/degree", "expected an integer in 1..3")
     module = parse_cmodule(_expect(doc, "module", ptr), f"{ptr}/module")
     values = _expect(doc, "values", ptr, dict)
     nc = module.base.order
-    arr = np.zeros((nc,) * degree, dtype=np.int64)
+    arr = np.zeros((nc,) * degree, dtype=object)
     for key, v in values.items():
         try:
             t = tuple(int(s) for s in key.split(","))
@@ -257,7 +255,7 @@ def parse_cochain(doc, ptr: str = "") -> Cochain:
             raise SchemaError(f"{ptr}/values/{key}", "bad tuple key") from exc
         if len(t) != degree or any(not 0 <= i < nc for i in t):
             raise SchemaError(f"{ptr}/values/{key}", "tuple out of range")
-        if not isinstance(v, int):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise SchemaError(f"{ptr}/values/{key}", "expected an integer")
         arr[t] = v
     return build_cochain(module, degree, arr)

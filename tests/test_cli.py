@@ -49,6 +49,45 @@ def test_missing_file_exits_1(capsys):
     assert err
 
 
+def test_directory_path_exits_1(capsys, tmp_path):
+    code, _, err = run(capsys, "validate", str(tmp_path))
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _cochain_file(workspace, tmp_path, degree, values):
+    module = json.loads((workspace / "z2-z2-a0.cmodule.json").read_text())
+    del module["kind"]
+    path = tmp_path / "f.cochain.json"
+    path.write_text(json.dumps({"kind": "cochain", "degree": degree,
+                                "module": module, "values": values}))
+    return str(path)
+
+
+def test_valid_cochain_document(capsys, workspace, tmp_path):
+    doc = _cochain_file(workspace, tmp_path, 2, {"1,1": 1})
+    assert run(capsys, "validate", doc)[0] == 0
+    code, out, _ = run(capsys, "oracle", "bridge", "--cocycle", doc)
+    assert code == 0 and loads(out).middle.order == 4
+
+
+@pytest.mark.parametrize("degree, values", [
+    (2, {"1,1": 7}),        # not an element of Z2
+    (2, {"1,1": -1}),       # would index Z2 from the end
+    (2, {"1,1": True}),
+    (2, {"1,1": 2 ** 70}),
+    (0, {}),
+    (True, {}),
+    (4, {}),
+], ids=["value-7", "value-minus-1", "value-true", "value-2^70", "degree-0", "degree-true", "degree-4"])
+def test_malformed_cochain_exits_1(capsys, workspace, tmp_path, degree, values):
+    doc = _cochain_file(workspace, tmp_path, degree, values)
+    for argv in (["validate", doc], ["oracle", "bridge", "--cocycle", doc]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out, argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -43,6 +43,14 @@ def test_document_roundtrips(z2_z2_triv, z2_z3_inv):
         assert dumps(document(back)) == text
 
 
+def test_cochain_document_bytes(z3_z3_triv):
+    # nonzero values keyed in row-major order of their tuples
+    f = build_cochain(z3_z3_triv, 2, [[0, 0, 0], [0, 1, 2], [0, 0, 1]])
+    doc = dumps(document(f))
+    assert doc.endswith('"values":{"1,1":1,"1,2":2,"2,2":1}}\n')
+    assert loads(doc) == f
+
+
 def test_dumps_is_byte_stable(z2_z2_triv):
     doc = document(z2_z2_triv)
     assert dumps(doc) == dumps(json.loads(dumps(doc)))
