@@ -134,6 +134,14 @@ def build_cmodule(base: FiniteGroup, coeff: FiniteGroup, action) -> CModule:
     return CModule(base=base, coeff=coeff, action=act)
 
 
+def _cmodule(base: FiniteGroup, coeff: FiniteGroup, act) -> CModule:
+    """A module that is one by construction; not validated."""
+    act = np.asarray(act, dtype=np.int64)
+    act.setflags(write=False)
+    return CModule(base=base, coeff=coeff,
+                   action=GroupAction(actor=base, object=coeff, act=act))
+
+
 def trivial_module(base: FiniteGroup, coeff: FiniteGroup) -> CModule:
     return build_cmodule(base, coeff, trivial_action(base, coeff))
 
@@ -166,6 +174,17 @@ class CModuleMorphism:
         return hash((self.dom, self.cod, self.hom))
 
 
+def equivariance_failures(dom: GroupAction, cod: GroupAction, obj_maps, actor_maps):
+    """bad[k, g, x] iff obj_maps[k](g*x) != actor_maps[k](g) * obj_maps[k](x).
+
+    The one definition of equivariance for pairs of maps between two
+    actions: module morphisms take the identity on the actor, crossed-module
+    morphisms (f2, f1).  Rows broadcast, so one pair or many are one call.
+    """
+    obj_maps, actor_maps = np.asarray(obj_maps), np.asarray(actor_maps)
+    return obj_maps[:, dom.act] != cod.act[actor_maps[:, :, None], obj_maps[:, None, :]]
+
+
 def cmodule_morphism(dom: CModule, cod: CModule, hom) -> CModuleMorphism:
     if dom.base != cod.base:
         raise BaseMismatch("module morphisms require the same base group")
@@ -173,13 +192,14 @@ def cmodule_morphism(dom: CModule, cod: CModule, hom) -> CModuleMorphism:
         hom = build_hom(dom.coeff, cod.coeff, hom)
     if hom.dom != dom.coeff or hom.cod != cod.coeff:
         raise BaseMismatch("hom does not match module coefficients")
-    for c in dom.base.elements():
-        for b in dom.coeff.elements():
-            if hom(dom.xi(c, b)) != cod.xi(c, hom(b)):
-                raise NotEquivariant(
-                    f"f(xi({c},{b})) = {hom(dom.xi(c, b))} but "
-                    f"xi'({c}, f({b})) = {cod.xi(c, hom(b))}"
-                )
+    bad = equivariance_failures(dom.action, cod.action, hom.map[None],
+                                np.arange(dom.base.order)[None])[0]
+    if bad.any():
+        c, b = (int(i) for i in np.argwhere(bad)[0])
+        raise NotEquivariant(
+            f"f(xi({c},{b})) = {hom(dom.xi(c, b))} but "
+            f"xi'({c}, f({b})) = {cod.xi(c, hom(b))}"
+        )
     return CModuleMorphism(dom=dom, cod=cod, hom=hom)
 
 
@@ -223,22 +243,25 @@ class ModuleProductResult:
 
 
 def cmodule_product(m1: CModule, m2: CModule) -> ModuleProductResult:
-    """Componentwise action on coeff1 x coeff2, with projections."""
+    """Componentwise action on coeff1 x coeff2, with projections.
+
+    A componentwise action of two actions is an action, and the structure
+    maps are equivariant, so all of it is built without re-validation.
+    """
     if m1.base != m2.base:
         raise BaseMismatch("module product requires the same base group")
     prod = direct_product(m1.coeff, m2.coeff)
     n2 = m2.coeff.order
-    act = np.zeros((m1.base.order, prod.group.order), dtype=np.int64)
-    for c in m1.base.elements():
-        for b1 in m1.coeff.elements():
-            for b2 in m2.coeff.elements():
-                act[c, b1 * n2 + b2] = m1.xi(c, b1) * n2 + m2.xi(c, b2)
-    module = build_cmodule(m1.base, prod.group, act)
-    proj1 = cmodule_morphism(module, m1, prod.proj1)
-    proj2 = cmodule_morphism(module, m2, prod.proj2)
-    inj1 = cmodule_morphism(m1, module, prod.inj1)
-    inj2 = cmodule_morphism(m2, module, prod.inj2)
-    return ModuleProductResult(module, proj1, proj2, inj1, inj2, prod)
+    act = m1.action.act[:, :, None] * n2 + m2.action.act[:, None, :]
+    module = _cmodule(m1.base, prod.group, act.reshape(m1.base.order, -1))
+    return ModuleProductResult(
+        module,
+        CModuleMorphism(module, m1, prod.proj1),
+        CModuleMorphism(module, m2, prod.proj2),
+        CModuleMorphism(m1, module, prod.inj1),
+        CModuleMorphism(m2, module, prod.inj2),
+        prod,
+    )
 
 
 def codiagonal(m: CModule) -> tuple[ModuleProductResult, CModuleMorphism]:
@@ -257,13 +280,38 @@ def pair_codiagonal(prod: ModuleProductResult, target: CModule) -> CModuleMorphi
 
 
 def all_module_morphisms(dom: CModule, cod: CModule) -> list[CModuleMorphism]:
-    """All equivariant homomorphisms dom -> cod, deterministic order."""
+    """All equivariant homomorphisms dom -> cod: the equivariant rows of all_homs."""
     from .groups import all_homs
 
-    out = []
-    for h in all_homs(dom.coeff, cod.coeff):
-        try:
-            out.append(cmodule_morphism(dom, cod, h))
-        except NotEquivariant:
-            continue
-    return out
+    if dom.base != cod.base:
+        raise BaseMismatch("module morphisms require the same base group")
+    homs = all_homs(dom.coeff, cod.coeff)
+    bad = equivariance_failures(dom.action, cod.action, [f.map for f in homs],
+                                np.arange(dom.base.order)[None])
+    return [CModuleMorphism(dom, cod, f)
+            for f, b in zip(homs, bad.any(axis=(1, 2))) if not b]
+
+
+def induced_module(j: GroupHom, moved: np.ndarray, p: GroupHom, error) -> CModule:
+    """The module on B = dom(j) over C = cod(p) with c*b = j^-1(g * j(b)).
+
+    ``moved[g, b]`` is g * j(b) under an action by automorphisms of
+    E = dom(p) on cod(j); p must be surjective, so its fibres are cosets of
+    one size.  The value must not depend on the lift g of c and must land
+    in j(B); the first (c, b) that fails raises ``error``.  With those two
+    checks the result is an action by automorphisms, so it is not
+    re-validated; B must be abelian, which the callers check.
+    """
+    b_grp, c_grp = j.dom, p.cod
+    in_b = np.full(j.cod.order, -1, dtype=np.int64)
+    in_b[j.map] = np.arange(b_grp.order)
+    lifts = moved[np.argsort(p.map, kind="stable")].reshape(c_grp.order, -1, b_grp.order)
+    differ = (lifts != lifts[:, :1]).any(axis=1)
+    act = in_b[lifts[:, 0]]
+    bad = differ | (act < 0)
+    if bad.any():
+        c, b = (int(i) for i in np.argwhere(bad)[0])
+        if differ[c, b]:
+            raise error(f"lifts of {c} act differently on kernel element {b}")
+        raise error(f"action of {c} leaves the kernel at {b}")
+    return _cmodule(c_grp, b_grp, act)

@@ -20,7 +20,9 @@ from .actions import (
     build_action,
     cmodule_morphism,
     cmodule_product,
+    equivariance_failures,
     identity_morphism,
+    induced_module,
     pair_codiagonal,
 )
 from .crossed import (
@@ -101,40 +103,6 @@ class CrossedExtension:
         return hash((self.j, self.xm, self.p))
 
 
-def _induced_module_via_j(
-    j: GroupHom, xm: CrossedModule, p: GroupHom
-) -> CModule:
-    """Module structure on dom(j) induced by the ambient action through p."""
-    from .actions import build_cmodule
-
-    b_grp, e2 = j.dom, xm.e2
-    in_b = {j(b): b for b in b_grp.elements()}
-    for b in b_grp.elements():
-        jb = j(b)
-        for x in e2.elements():
-            if e2.add(jb, x) != e2.add(x, jb):
-                raise NotCentral(f"j({b}) does not commute with {x}")
-    c_grp = p.cod
-    lifts: dict[int, list[int]] = {c: [] for c in c_grp.elements()}
-    for g in xm.e1.elements():
-        lifts[p(g)].append(g)
-    act = np.zeros((c_grp.order, b_grp.order), dtype=np.int64)
-    for c in c_grp.elements():
-        for b in b_grp.elements():
-            imgs = {xm.act(g, j(b)) for g in lifts[c]}
-            if len(imgs) != 1:
-                raise ActionNotWellDefined(
-                    f"lifts of {c} act differently on kernel element {b}"
-                )
-            img = imgs.pop()
-            if img not in in_b:
-                raise ActionNotWellDefined(
-                    f"action of {c} leaves the kernel at {b}"
-                )
-            act[c, b] = in_b[img]
-    return build_cmodule(c_grp, b_grp, act)
-
-
 def build_crossed_extension(
     j: GroupHom, xm: CrossedModule, p: GroupHom
 ) -> CrossedExtension:
@@ -148,7 +116,12 @@ def build_crossed_extension(
         raise NotExactAtE1("p is not surjective")
     if p.kernel_elements() != tuple(sorted(xm.boundary.image())):
         raise NotExactAtE1("kernel(p) differs from image(boundary)")
-    module = _induced_module_via_j(j, xm, p)
+    e2 = xm.e2
+    bad = e2.table[j.map] != e2.table[:, j.map].T       # j(b) + x vs x + j(b)
+    if bad.any():
+        b, x = (int(i) for i in np.argwhere(bad)[0])
+        raise NotCentral(f"j({b}) does not commute with {x}")
+    module = induced_module(j, xm.action.act[:, j.map], p, ActionNotWellDefined)
     return CrossedExtension(j=j, xm=xm, p=p, module=module)
 
 
@@ -201,13 +174,12 @@ def build_xext_morphism(
         raise TypeMismatch("middle square does not commute")
     if compose(cod.p, f1) != dom.p:
         raise TypeMismatch("base square does not commute")
-    for g in dom.e1.elements():
-        for x in dom.e2.elements():
-            if f2(dom.xm.act(g, x)) != cod.xm.act(f1(g), f2(x)):
-                raise TypeMismatch(
-                    f"middle square is not a crossed module morphism at "
-                    f"({g}, {x})"
-                )
+    bad = equivariance_failures(dom.xm.action, cod.xm.action, f2.map[None], f1.map[None])[0]
+    if bad.any():
+        g, x = (int(i) for i in np.argwhere(bad)[0])
+        raise TypeMismatch(
+            f"middle square is not a crossed module morphism at ({g}, {x})"
+        )
     return XExtMorphism(dom=dom, cod=cod, beta=beta, f2=f2, f1=f1)
 
 

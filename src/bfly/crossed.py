@@ -11,12 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import CModule, GroupAction, build_action, build_cmodule
+from .actions import GroupAction, build_action
 from .errors import (
-    ActionNotWellDefined,
     DomainMismatch,
-    NotCentral,
-    NotExactAtE1,
     PeifferViolation,
     PreCrossedViolation,
     require,
@@ -27,7 +24,6 @@ from .groups import (
     SemidirectResult,
     build_hom,
     semidirect_product,
-    subgroup_from_elements,
 )
 
 
@@ -61,15 +57,15 @@ class CrossedModule:
 def build_crossed_module(boundary: GroupHom, action: GroupAction) -> CrossedModule:
     if action.actor != boundary.cod or action.object != boundary.dom:
         raise DomainMismatch("action must be of cod(boundary) on dom(boundary)")
-    e1, e2, bnd = boundary.cod, boundary.dom, boundary
-    for g in e1.elements():
-        for x in e2.elements():
-            if bnd(action(g, x)) != e1.conj(g, bnd(x)):
-                raise PreCrossedViolation(f"at (g, x) = ({g}, {x})")
-    for x1 in e2.elements():
-        for x2 in e2.elements():
-            if action(bnd(x1), x2) != e2.conj(x1, x2):
-                raise PeifferViolation(f"at (x1, x2) = ({x1}, {x2})")
+    e1, e2, bnd, act = boundary.cod, boundary.dom, boundary.map, action.act
+    bad = bnd[act] != e1.conjugates(bnd)                 # bnd(g*x) vs g + bnd(x) - g
+    if bad.any():
+        g, x = (int(i) for i in np.argwhere(bad)[0])
+        raise PreCrossedViolation(f"at (g, x) = ({g}, {x})")
+    bad = act[bnd] != e2.conjugates()                    # bnd(x1)*x2 vs x1 + x2 - x1
+    if bad.any():
+        x1, x2 = (int(i) for i in np.argwhere(bad)[0])
+        raise PeifferViolation(f"at (x1, x2) = ({x1}, {x2})")
     return CrossedModule(boundary=boundary, action=action)
 
 
@@ -122,10 +118,7 @@ def identity_crossed_module(g: FiniteGroup) -> CrossedModule:
     """id: G -> G with the conjugation action."""
     from .groups import identity_hom
 
-    act = np.asarray(
-        [[g.conj(h, x) for x in g.elements()] for h in g.elements()]
-    )
-    return build_crossed_module(identity_hom(g), build_action(g, g, act))
+    return build_crossed_module(identity_hom(g), build_action(g, g, g.conjugates()))
 
 
 def zero_boundary_crossed_module(
@@ -135,49 +128,3 @@ def zero_boundary_crossed_module(
     from .groups import zero_hom
 
     return build_crossed_module(zero_hom(coeff, base), action)
-
-
-def induced_kernel_module(xm: CrossedModule, p: GroupHom) -> CModule:
-    """The module structure on ker(boundary) induced through p.
-
-    Requires p surjective with kernel the image of the boundary; the
-    kernel must be central in E2 and the action of any lift of c must be
-    independent of the lift.
-    """
-    if p.dom != xm.e1:
-        raise DomainMismatch("p must have domain E1")
-    if not p.is_surjective():
-        raise NotExactAtE1("p is not surjective")
-    if tuple(sorted(xm.boundary.image())) != p.kernel_elements():
-        raise NotExactAtE1("kernel(p) differs from image(boundary)")
-
-    ker = subgroup_from_elements(xm.e2, xm.boundary.kernel_elements())
-    b_grp, emb = ker.group, ker.embedding
-    pos = {e: i for i, e in enumerate(ker.elements)}
-
-    e2 = xm.e2
-    for b in ker.elements:
-        for x in e2.elements():
-            if e2.add(b, x) != e2.add(x, b):
-                raise NotCentral(f"kernel element {b} and {x} do not commute")
-
-    c_grp = p.cod
-    lifts: dict[int, list[int]] = {c: [] for c in c_grp.elements()}
-    for g in xm.e1.elements():
-        lifts[p(g)].append(g)
-    act = np.zeros((c_grp.order, b_grp.order), dtype=np.int64)
-    for c in c_grp.elements():
-        g0 = lifts[c][0]
-        for i, b in enumerate(ker.elements):
-            img = xm.act(g0, b)
-            if img not in pos:
-                raise ActionNotWellDefined(
-                    f"{g0}*{b} leaves the kernel"
-                )
-            act[c, i] = pos[img]
-            for g in lifts[c][1:]:
-                if xm.act(g, b) != img:
-                    raise ActionNotWellDefined(
-                        f"lifts {g0} and {g} of {c} act differently on {b}"
-                    )
-    return build_cmodule(c_grp, b_grp, act)

@@ -17,8 +17,8 @@ from .actions import (
     CModule,
     CModuleMorphism,
     build_action,
-    build_cmodule,
     identity_morphism,
+    induced_module,
 )
 from .errors import (
     KernelNotAbelian,
@@ -39,9 +39,6 @@ from .groups import (
     quotient_by,
     semidirect_product,
 )
-
-SECTION_SCAN_LIMIT = 8  # try every section when the base is at most this big
-
 
 @dataclass(frozen=True)
 class AbelianExtension:
@@ -96,36 +93,13 @@ class ExtensionLift:
     target: AbelianExtension
 
 
-def _induced_module(kappa: GroupHom, gamma: GroupHom) -> CModule:
-    """Conjugation module on the kernel; section-independent for abelian B."""
-    b_grp, e_grp, c_grp = kappa.dom, kappa.cod, gamma.cod
-    in_b = {kappa(b): b for b in b_grp.elements()}
-    fibres: dict[int, list[int]] = {c: [] for c in c_grp.elements()}
-    for e in e_grp.elements():
-        fibres[gamma(e)].append(e)
-    act = np.zeros((c_grp.order, b_grp.order), dtype=np.int64)
-    scan_all = c_grp.order <= SECTION_SCAN_LIMIT
-    for c in c_grp.elements():
-        reps = fibres[c] if scan_all else fibres[c][:1]
-        for b in b_grp.elements():
-            imgs = {e_grp.conj(e, kappa(b)) for e in reps}
-            if len(imgs) != 1:
-                raise NotExact(
-                    f"conjugation module is section-dependent at c={c}, b={b}"
-                )
-            img = imgs.pop()
-            if img not in in_b:
-                raise NotExact(f"kernel is not normal at c={c}, b={b}")
-            act[c, b] = in_b[img]
-    return build_cmodule(c_grp, b_grp, act)
-
-
 def build_extension(kappa: GroupHom, gamma: GroupHom) -> AbelianExtension:
     if not kappa.dom.is_abelian():
         raise KernelNotAbelian("extension kernel must be abelian")
     if not is_short_exact(kappa, gamma):
         raise NotExact("(kernel, quotient) is not short exact")
-    module = _induced_module(kappa, gamma)
+    # the conjugation module; lifts agree because B is abelian
+    module = induced_module(kappa, kappa.cod.conjugates(kappa.map), gamma, NotExact)
     return AbelianExtension(kernel_arrow=kappa, quotient_arrow=gamma, module=module)
 
 
@@ -278,8 +252,3 @@ def pi1_group(module: CModule) -> tuple[FiniteGroup, list[ExtensionMorphism]]:
     ]
     # composition; the identity is the lexicographically least automorphism
     return _group(table), autos
-
-
-def pi1_h2(module: CModule) -> FiniteGroup:
-    """Automorphism group of the unit extension, as a bare group."""
-    return pi1_group(module)[0]

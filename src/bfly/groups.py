@@ -8,7 +8,6 @@ additively throughout.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -29,12 +28,6 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 512
 _order_cap = DEFAULT_ORDER_CAP
-
-
-def set_order_cap(cap: int) -> None:
-    """Set the global desk-scale guard for group construction."""
-    global _order_cap
-    _order_cap = int(cap)
 
 
 def get_order_cap() -> int:
@@ -81,6 +74,10 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g + x - g."""
         return int(self.table[self.table[g, x], self.inv[g]])
+
+    def conjugates(self, xs=slice(None)) -> np.ndarray:
+        """[g, i] = g + xs[i] - g for every g; all of G when xs is omitted."""
+        return self.table[self.table[:, xs], self.inv[:, None]]
 
     def add_many(self, *elems: int) -> int:
         acc = 0
@@ -345,7 +342,7 @@ def _membership(g: FiniteGroup, elements) -> np.ndarray:
 def is_normal(g: FiniteGroup, elements) -> bool:
     member = _membership(g, elements)
     elems = np.flatnonzero(member)
-    return bool(member[g.table[g.table[:, elems], g.inv[:, None]]].all())   # h + x - h
+    return bool(member[g.conjugates(elems)].all())
 
 
 def quotient_by(g: FiniteGroup, normal_elements) -> tuple[FiniteGroup, GroupHom]:
@@ -505,49 +502,44 @@ def generating_sequence(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _extend_by_generators(g: FiniteGroup, h: FiniteGroup, gens, images):
-    """Propagate a generator assignment to a full map, or None on conflict."""
-    m = np.full(g.order, -1, dtype=np.int64)
-    m[0] = 0
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for a in frontier:
-            for gen, img in zip(gens, images):
-                b = g.add(a, gen)
-                v = h.add(int(m[a]), img)
-                if m[b] < 0:
-                    m[b] = v
-                    new_frontier.append(b)
-                elif m[b] != v:
-                    return None
-        frontier = new_frontier
-    if (m < 0).any():
-        return None
-    return m
-
-
 def all_homs(g: FiniteGroup, h: FiniteGroup, limit: int | None = None) -> list[GroupHom]:
-    """All homomorphisms G -> H, sorted lexicographically by value table."""
+    """All homomorphisms G -> H, sorted lexicographically by value table.
+
+    Candidates are the rows of one array, -1 where a value is not yet known.
+    Generators are added one at a time, each sent to every element of H
+    whose order divides its own.  The subgroup generated so far is then
+    walked breadth first from the known elements: a new element a + g_k
+    takes its column in one gather, and an edge a + g_k that lands on a
+    known element drops the rows where the two values disagree.  A row
+    that survives every edge of the Cayley graph is a homomorphism; the
+    survivors are still checked against the definition.
+    """
     gens = generating_sequence(g)
-    if not gens:
-        return [zero_hom(g, h)]
-    orders = [g.element_order(a) for a in gens]
-    candidates = [
-        [x for x in h.elements() if orders[i] % h.element_order(x) == 0]
-        for i in range(len(gens))
-    ]
-    found = []
-    for images in itertools.product(*candidates):
-        m = _extend_by_generators(g, h, gens, images)
-        if m is None:
-            continue
-        if _kernels.hom_violation(g.table, h.table, m) is None:
-            found.append(m)
-    found.sort(key=lambda m: m.tolist())
-    if limit is not None:
-        found = found[:limit]
-    return [GroupHom(dom=g, cod=h, map=m) for m in found]
+    h_orders = np.asarray([h.element_order(x) for x in h.elements()])
+    rows = np.full((1, g.order), -1, dtype=np.int64)
+    rows[:, 0] = 0
+    known = np.zeros(g.order, dtype=bool)
+    known[0] = True
+    for i, gen in enumerate(gens):
+        images = np.flatnonzero(g.element_order(gen) % h_orders == 0)
+        rows = np.repeat(rows, len(images), axis=0)
+        rows[:, gen] = np.tile(images, len(rows) // len(images))
+        known[gen] = True
+        cols = np.asarray(gens[:i + 1])
+        frontier = np.flatnonzero(known)
+        while frontier.size:
+            targets = g.table[np.ix_(frontier, cols)].ravel()      # a + g_k
+            values = h.table[rows[:, frontier, None], rows[:, None, cols]]
+            values = values.reshape(len(rows), -1)
+            fresh = ~known[targets]
+            rows[:, targets[fresh]] = values[:, fresh]
+            rows = rows[(rows[:, targets] == values).all(axis=1)]
+            frontier = np.flatnonzero(~known & _membership(g, targets[fresh]))
+            known[frontier] = True
+    rows = rows[np.lexsort(rows.T[::-1])][:limit]
+    require(_kernels.homs_violation(g.table, h.table, rows) is None,
+            "the generator walk admitted a non-homomorphism")
+    return [_hom(g, h, m) for m in rows]
 
 
 def find_isomorphisms(
@@ -556,10 +548,7 @@ def find_isomorphisms(
     """All isomorphisms G -> H, sorted lexicographically, truncated at limit."""
     if g.order != h.order:
         return []
-    isos = [f for f in all_homs(g, h) if f.is_injective()]
-    if limit is not None:
-        isos = isos[:limit]
-    return isos
+    return [f for f in all_homs(g, h) if f.is_injective()][:limit]
 
 
 def hom_from_cosets(

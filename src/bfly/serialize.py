@@ -159,29 +159,33 @@ def _expect(doc, key: str, ptr: str, typ=None):
     return val
 
 
-def _int_matrix(val, ptr: str) -> np.ndarray:
-    try:
-        arr = np.asarray(val, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(ptr, f"expected an integer matrix: {exc}") from exc
-    if arr.ndim != 2:
-        raise SchemaError(ptr, "expected a two-dimensional matrix")
-    return arr
+def _int(doc, key: str, ptr: str) -> int:
+    val = _expect(doc, key, ptr)
+    if type(val) is not int:        # bool is an int subclass; reject it too
+        raise SchemaError(f"{ptr}/{key}", "expected an integer")
+    return val
 
 
-def _int_vector(val, ptr: str) -> np.ndarray:
+def _int_array(val, ptr: str, ndim: int) -> np.ndarray:
+    """A list (ndim 1) or a list of rows (ndim 2) of plain integers, not coerced."""
+    what = "an integer matrix" if ndim == 2 else "a flat integer list"
+    rows = val if ndim == 2 and type(val) is list else [val]
+    if not all(type(r) is list and set(map(type, r)) <= {int} for r in rows):
+        raise SchemaError(ptr, f"expected {what}")
     try:
         arr = np.asarray(val, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(ptr, f"expected an integer list: {exc}") from exc
-    if arr.ndim != 1:
-        raise SchemaError(ptr, "expected a flat integer list")
+    except OverflowError as exc:
+        raise SchemaError(ptr, "integer outside the int64 range") from exc
+    except ValueError as exc:
+        raise SchemaError(ptr, f"expected {what}") from exc
+    if arr.ndim != ndim:
+        raise SchemaError(ptr, f"expected {what}")
     return arr
 
 
 def parse_group(doc, ptr: str = "") -> FiniteGroup:
-    order = _expect(doc, "order", ptr, int)
-    table = _int_matrix(_expect(doc, "table", ptr), f"{ptr}/table")
+    order = _int(doc, "order", ptr)
+    table = _int_array(_expect(doc, "table", ptr), f"{ptr}/table", 2)
     if table.shape != (order, order):
         raise SchemaError(f"{ptr}/table", "shape does not match order")
     return build_group(table)
@@ -190,21 +194,21 @@ def parse_group(doc, ptr: str = "") -> FiniteGroup:
 def parse_hom(doc, ptr: str = "") -> GroupHom:
     dom = parse_group(_expect(doc, "dom", ptr), f"{ptr}/dom")
     cod = parse_group(_expect(doc, "cod", ptr), f"{ptr}/cod")
-    mapping = _int_vector(_expect(doc, "map", ptr), f"{ptr}/map")
+    mapping = _int_array(_expect(doc, "map", ptr), f"{ptr}/map", 1)
     return build_hom(dom, cod, mapping)
 
 
 def parse_action(doc, ptr: str = "") -> GroupAction:
     actor = parse_group(_expect(doc, "actor", ptr), f"{ptr}/actor")
     obj = parse_group(_expect(doc, "object", ptr), f"{ptr}/object")
-    act = _int_matrix(_expect(doc, "act", ptr), f"{ptr}/act")
+    act = _int_array(_expect(doc, "act", ptr), f"{ptr}/act", 2)
     return build_action(actor, obj, act)
 
 
 def parse_cmodule(doc, ptr: str = "") -> CModule:
     base = parse_group(_expect(doc, "base", ptr), f"{ptr}/base")
     coeff = parse_group(_expect(doc, "coeff", ptr), f"{ptr}/coeff")
-    act = _int_matrix(_expect(doc, "act", ptr), f"{ptr}/act")
+    act = _int_array(_expect(doc, "act", ptr), f"{ptr}/act", 2)
     return build_cmodule(base, coeff, act)
 
 
@@ -241,8 +245,8 @@ def parse_butterfly(doc, ptr: str = "") -> Butterfly:
 
 
 def parse_cochain(doc, ptr: str = "") -> Cochain:
-    degree = _expect(doc, "degree", ptr, int)
-    if isinstance(degree, bool) or degree not in (1, 2, 3):
+    degree = _int(doc, "degree", ptr)
+    if degree not in (1, 2, 3):
         raise SchemaError(f"{ptr}/degree", "expected an integer in 1..3")
     module = parse_cmodule(_expect(doc, "module", ptr), f"{ptr}/module")
     values = _expect(doc, "values", ptr, dict)

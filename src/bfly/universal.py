@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .actions import CModuleMorphism, compose_morphisms
+from .actions import CModuleMorphism, compose_morphisms, equivariance_failures
 from .butterflies import CrossedExtension, XExtMorphism
 from .errors import ModuleMismatch, require
 from .extensions import AbelianExtension, ExtensionLift, extension_morphisms_over
@@ -35,31 +35,24 @@ def check_cocartesian_extension(
 def xext_morphisms_over(
     e: CrossedExtension, g: CrossedExtension, beta: CModuleMorphism
 ) -> list[XExtMorphism]:
-    """All crossed-extension morphisms over beta, by exhaustive hom scan."""
+    """All crossed-extension morphisms over beta, sorted by (f1, f2).
+
+    The f1 rows of all_homs are kept where p'.f1 = p and the f2 rows where
+    f2.j = j'.beta; every remaining pair is checked for bnd'.f2 = f1.bnd
+    and for equivariance as table comparisons.
+    """
     if beta.dom != e.module or beta.cod != g.module:
         raise ModuleMismatch("beta must run between the two kernel modules")
-    f1s = [
-        f1 for f1 in all_homs(e.e1, g.e1) if compose(g.p, f1) == e.p
-    ]
-    kernel_target = compose(g.j, beta.hom)
-    out = []
-    for f2 in all_homs(e.e2, g.e2):
-        if compose(f2, e.j) != kernel_target:
-            continue
-        for f1 in f1s:
-            if compose(g.xm.boundary, f2) != compose(f1, e.xm.boundary):
-                continue
-            if any(
-                f2(e.xm.act(h, x)) != g.xm.act(f1(h), f2(x))
-                for h in e.e1.elements()
-                for x in e.e2.elements()
-            ):
-                continue
-            out.append(
-                XExtMorphism(dom=e, cod=g, beta=beta, f2=f2, f1=f1)
-            )
-    out.sort(key=lambda m: (m.f1.map.tolist(), m.f2.map.tolist()))
-    return out
+    h1, h2 = all_homs(e.e1, g.e1), all_homs(e.e2, g.e2)
+    m1, m2 = (np.asarray([f.map for f in homs]) for homs in (h1, h2))
+    k1 = np.flatnonzero((g.p.map[m1] == e.p.map).all(axis=1))
+    k2 = np.flatnonzero((m2[:, e.j.map] == g.j.map[beta.hom.map]).all(axis=1))
+    square = m1[k1][:, None, e.xm.boundary.map] == g.xm.boundary.map[m2[k2]]
+    p1, p2 = np.nonzero(square.all(axis=2))
+    i1, i2 = k1[p1], k2[p2]
+    bad = equivariance_failures(e.xm.action, g.xm.action, m2[i2], m1[i1])
+    return [XExtMorphism(dom=e, cod=g, beta=beta, f2=h2[b], f1=h1[a])
+            for a, b, fails in zip(i1, i2, bad.any(axis=(1, 2))) if not fails]
 
 
 def check_cocartesian_xext(

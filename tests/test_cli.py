@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfly.cli import main
 from bfly.serialize import loads
@@ -197,3 +199,86 @@ def test_broken_law_fails_under_optimize():
     optimize, failed, total = map(int, first.split())
     assert optimize == 1 and failed == total == 22
     assert detail.startswith("|Aut| 0 != |Z1| ")
+
+
+Z2_DOC = {"order": 2, "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "group", "order": 1, "table": [[2 ** 70]]},
+    {"kind": "group", "order": 2, "table": [[0, 1], [1, 0.5]]},
+    {"kind": "group", "order": True, "table": [[0]]},
+    {"kind": "group", "order": 2, "table": [[0, 1], [1, False]]},
+    {"kind": "hom", "dom": Z2_DOC, "cod": Z2_DOC, "map": [0, True]},
+    {"kind": "hom", "dom": Z2_DOC, "cod": Z2_DOC, "map": [0, 1.0]},
+    {"kind": "action", "actor": Z2_DOC, "object": Z2_DOC, "act": [[0, 1], [0, True]]},
+], ids=["entry-2^70", "entry-0.5", "order-true", "entry-false", "map-true",
+        "map-1.0", "act-true"])
+def test_non_integer_tables_exit_1(capsys, tmp_path, doc):
+    """Only plain integers are accepted: no bool, float or out-of-range value."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs(workspace):
+    """Every catalog document, one butterfly and one cochain, as JSON values."""
+    from bfly.butterflies import identity_butterfly
+    from bfly.serialize import document, load_document
+
+    docs = {p.name: json.loads(p.read_text()) for p in sorted(workspace.glob("*.*.json"))}
+    module = dict(docs["z2-z2-a0.cmodule.json"])
+    del module["kind"]
+    docs["f.cochain.json"] = {"kind": "cochain", "degree": 2, "module": module,
+                              "values": {"1,1": 1}}
+    xext = load_document(workspace / "z2-z2-a0-spliced-nontrivial.xext.json")
+    docs["id.butterfly.json"] = document(identity_butterfly(xext))
+    return docs
+
+
+def _paths(value, prefix=()):
+    """The path of every value inside a JSON document, depth first."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+MUTATIONS = {"float": 0.5, "integral-float": 1.0, "true": True, "false": False,
+             "minus-1": -1, "2^70": 2 ** 70, "string": "0", "drop": None}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_exit_0_or_1(fuzz_docs, tmp_path_factory, data):
+    """A catalog document with one value replaced or dropped never gives a traceback."""
+    import copy
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    name = data.draw(st.sampled_from(sorted(fuzz_docs)))
+    doc = copy.deepcopy(fuzz_docs[name])
+    paths = list(_paths(doc))
+    path = paths[data.draw(st.integers(0, len(paths) - 1))]
+    mutation = data.draw(st.sampled_from(sorted(MUTATIONS)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = MUTATIONS[mutation]
+    target = tmp_path_factory.mktemp("fuzz") / name
+    target.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(target)])
+    assert code in (0, 1), (name, path, mutation)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert out.getvalue().startswith("valid ")

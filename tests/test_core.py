@@ -25,14 +25,13 @@ from bfly.groups import (
     cooperator,
     direct_product,
     find_isomorphisms,
-    get_order_cap,
     identity_hom,
     is_short_exact,
     kernel,
+    order_cap,
     pullback,
     quotient_by,
     semidirect_product,
-    set_order_cap,
     subgroup_from_elements,
     zero_hom,
 )
@@ -70,13 +69,9 @@ def test_identity_relabeled_to_zero():
 
 
 def test_order_cap_enforced():
-    cap = get_order_cap()
-    try:
-        set_order_cap(3)
+    with order_cap(3):
         with pytest.raises(OrderCapExceeded):
             build_group(np.array([[(i + j) % 4 for j in range(4)] for i in range(4)]))
-    finally:
-        set_order_cap(cap)
 
 
 def test_hom_validation(z2, z4):
@@ -353,3 +348,42 @@ def test_identity_and_composition(z4, z2):
     f = build_hom(z4, z2, [0, 1, 0, 1])
     assert compose(f, identity_hom(z4)) == f
     assert compose(identity_hom(z2), f) == f
+
+
+def _relabelled(g, seed):
+    """g with its non-identity elements permuted: the same group, another table."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.order - 1)])
+    table = np.empty_like(g.table)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    return build_group(table)
+
+
+def _search_groups(s3):
+    from bfly.catalog import klein_group, trivial_group
+
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    groups = {
+        "Z1": trivial_group(), "Z2": z2, "Z3": cyclic_group(3), "Z4": z4,
+        "Z6": cyclic_group(6), "Z8": cyclic_group(8), "K4": klein_group(), "S3": s3,
+        "Z2xZ4": direct_product(z2, z4).group,
+        "Z2^3": direct_product(direct_product(z2, z2).group, z2).group,
+        "Z4xZ4": direct_product(z4, z4).group,
+    }
+    for seed, name in enumerate(("S3", "Z8", "Z2xZ4", "Z2^3", "Z4xZ4")):
+        groups[f"{name}'"] = _relabelled(groups[name], seed)
+    return groups
+
+
+def test_hom_searches_match_the_generator_loop(s3):
+    """all_homs and find_isomorphisms list for list against the parent loop."""
+    from reference_loops import ref_all_homs, ref_find_isomorphisms
+
+    groups = _search_groups(s3)
+    for (gn, g), (hn, h) in itertools.product(groups.items(), repeat=2):
+        got = [f.map.tolist() for f in all_homs(g, h)]
+        assert got == [f.map.tolist() for f in ref_all_homs(g, h)], (gn, hn)
+        assert [f.map.tolist() for f in all_homs(g, h, limit=2)] == got[:2]
+        if g.order == h.order:
+            isos = [f.map.tolist() for f in find_isomorphisms(g, h)]
+            assert isos == [f.map.tolist() for f in ref_find_isomorphisms(g, h)], (gn, hn)
+            assert [f.map.tolist() for f in find_isomorphisms(g, h, limit=1)] == isos[:1]

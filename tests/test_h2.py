@@ -19,7 +19,7 @@ from bfly.extensions import (
     baer_sum,
     build_extension,
     fibre_morphisms,
-    pi1_h2,
+    pi1_group,
     pushforward_extension,
     unit_extension,
 )
@@ -94,7 +94,7 @@ def test_fibre_morphism_counts(z2_z2_triv, z2):
 
 def test_pi1_matches_z1(z2_z2_triv, z2_z3_inv, z3_z3_triv):
     for m in (z2_z2_triv, z2_z3_inv, z3_z3_triv):
-        assert pi1_h2(m).order == z1(m).group.order
+        assert pi1_group(m)[0].order == z1(m).group.order
 
 
 def test_pushforward_along_zero_gives_unit(z2_z2_triv, z2_z3_inv):

@@ -1,5 +1,7 @@
 """Crossed extensions and the butterfly calculus."""
 
+import itertools
+
 import pytest
 
 from bfly.actions import identity_morphism, zero_morphism
@@ -164,3 +166,48 @@ def test_butterfly_condition_violation_reports_condition(z2_z2_triv):
     with pytest.raises(ButterflyConditionViolation):
         build_butterfly(e, e, ident.f_group, ident.kappa, ident.iota,
                         ident.delta, zero_hom(ident.f_group, e.e1))
+
+
+def _xext_sweep():
+    from bfly.catalog import h3_catalog, standard_modules
+
+    mods = standard_modules()
+    return [(name, m, h3_catalog(m, mods)) for name, m in mods]
+
+
+def test_xext_search_matches_the_pair_loop():
+    """xext_morphisms_over against the parent's nested loop, list for list."""
+    from bfly.actions import all_module_morphisms
+    from bfly.universal import xext_morphisms_over
+    from reference_loops import ref_xext_morphisms_over
+
+    from bfly.butterflies import product_xext_with_data
+
+    found = 0
+    for name, m, entries in _xext_sweep():
+        prod = product_xext_with_data(entries[0][1], entries[1][1]).xext
+        for beta in all_module_morphisms(m, m)[:2]:
+            for (en, e), (gn, g) in itertools.product(entries, repeat=2):
+                got = xext_morphisms_over(e, g, beta)
+                want = ref_xext_morphisms_over(e, g, beta)
+                assert [(f.f1.map.tolist(), f.f2.map.tolist()) for f in got] == [
+                    (f.f1.map.tolist(), f.f2.map.tolist()) for f in want], (name, en, gn)
+                assert got == want
+                found += len(got)
+        for beta in all_module_morphisms(prod.module, prod.module)[:2]:
+            got = xext_morphisms_over(prod, prod, beta)
+            assert got == ref_xext_morphisms_over(prod, prod, beta), name
+            found += len(got)
+    assert found > 0
+
+
+def test_induced_modules_match_the_lift_loops():
+    """Every catalog extension and crossed extension against the dict loops."""
+    from bfly.catalog import h2_catalog
+    from reference_loops import ref_induced_module, ref_induced_module_via_j
+
+    for name, m, entries in _xext_sweep():
+        for ext in h2_catalog(m):
+            assert ext.module == ref_induced_module(ext.kernel_arrow, ext.quotient_arrow)
+        for en, e in entries + [("identity", x) for x in identity_xext_family()]:
+            assert e.module == ref_induced_module_via_j(e.j, e.xm, e.p), (name, en)
