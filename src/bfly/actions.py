@@ -41,7 +41,7 @@ class GroupAction:
                                                      (self.actor.order, 1))))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GroupAction)
             and self.actor == other.actor
             and self.object == other.object
@@ -100,7 +100,7 @@ class CModule:
         return int(self.action.act[c, b])
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, CModule)
             and self.base == other.base
             and self.coeff == other.coeff
@@ -272,11 +272,7 @@ def codiagonal(m: CModule) -> tuple[ModuleProductResult, CModuleMorphism]:
 
 def pair_codiagonal(prod: ModuleProductResult, target: CModule) -> CModuleMorphism:
     """Codiagonal for a product of two copies of ``target``."""
-    n = target.coeff.order
-    vals = [
-        target.coeff.add(b1, b2) for b1 in range(n) for b2 in range(n)
-    ]
-    return cmodule_morphism(prod.module, target, np.asarray(vals))
+    return cmodule_morphism(prod.module, target, target.coeff.table.ravel())
 
 
 def all_module_morphisms(dom: CModule, cod: CModule) -> list[CModuleMorphism]:

@@ -17,6 +17,7 @@ import numpy as np
 from .actions import (
     CModule,
     CModuleMorphism,
+    GroupAction,
     build_action,
     cmodule_morphism,
     cmodule_product,
@@ -49,11 +50,14 @@ from .extensions import AbelianExtension, build_extension
 from .groups import (
     FiniteGroup,
     GroupHom,
+    ProductResult,
     PullbackResult,
+    _hom,
     build_hom,
     compose,
-    cooperator,
+    cooperator_sums,
     direct_product,
+    factor_through,
     hom_from_cosets,
     identity_hom,
     is_normal,
@@ -92,7 +96,7 @@ class CrossedExtension:
         return self.p.cod
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, CrossedExtension)
             and self.j == other.j
             and self.xm == other.xm
@@ -196,37 +200,22 @@ def pushforward_xext(
     """
     if beta.dom != e.module:
         raise ModuleMismatch("beta must start at the extension's module")
-    bp = beta.cod.coeff
     e2 = e.e2
-    prod = direct_product(bp, e2)
+    prod = direct_product(beta.cod.coeff, e2)
     n2 = e2.order
-    ident = [beta(b) * n2 + e2.neg(e.j(b)) for b in e.b.elements()]
-    q_grp, proj = quotient_by(prod.group, ident)
-    j_new = build_hom(bp, q_grp, [proj(b * n2) for b in bp.elements()])
-    bnd_total = build_hom(
-        prod.group,
-        e.e1,
-        [e.xm.boundary(x) for _ in bp.elements() for x in e2.elements()],
-    )
-    bnd_new = hom_from_cosets(proj, bnd_total)
-    act = np.full((e.e1.order, q_grp.order), -1, dtype=np.int64)
-    for g in e.e1.elements():
-        for i in range(prod.group.order):
-            b, x = divmod(i, n2)
-            v = proj(beta.cod.xi(e.p(g), b) * n2 + e.xm.act(g, x))
-            tgt = proj(i)
-            if act[g, tgt] < 0:
-                act[g, tgt] = v
-            elif act[g, tgt] != v:
-                raise ActionNotWellDefined(
-                    "pushforward action is not constant on cosets"
-                )
+    q_grp, proj = quotient_by(prod.group, beta.hom.map * n2 + e2.inv[e.j.map])
+    bnd_new = hom_from_cosets(proj, compose(e.xm.boundary, prod.proj2))
+    # g * (b, x) = (p(g) * b, g * x), read on every pair and then on its coset
+    moved = (beta.cod.action.act[e.p.map][:, prod.proj1.map] * n2
+             + e.xm.action.act[:, prod.proj2.map])
+    act = factor_through(proj.map, proj.map[moved], q_grp.order)
+    if act is None:
+        raise ActionNotWellDefined("pushforward action is not constant on cosets")
     xm_new = build_crossed_module(bnd_new, build_action(e.e1, q_grp, act))
-    result = build_crossed_extension(j_new, xm_new, e.p)
+    result = build_crossed_extension(compose(proj, prod.inj1), xm_new, e.p)
     if result.module != beta.cod:
         raise ModuleMismatch("pushforward does not land in the target module")
-    f2 = build_hom(e2, q_grp, [proj(x) for x in e2.elements()])
-    lift = build_xext_morphism(e, result, beta, f2, identity_hom(e.e1))
+    lift = build_xext_morphism(e, result, beta, compose(proj, prod.inj2), identity_hom(e.e1))
     return result, lift
 
 
@@ -234,8 +223,7 @@ def pushforward_xext(
 class XExtProduct:
     xext: CrossedExtension
     pb: PullbackResult                  # E1 x_C E1'
-    middle_pair_index: dict             # (x, x') -> product middle index
-    proj1: XExtMorphism | None = None
+    middle: ProductResult               # E2 x E2'
 
 
 def product_xext_with_data(
@@ -245,47 +233,21 @@ def product_xext_with_data(
     if e.c != ep.c:
         raise BaseMismatch("product requires the same base group")
     pb = pullback(e.p, ep.p)
-    pair_pos = {(pb.p1(i), pb.p2(i)): i for i in range(pb.group.order)}
     mid = direct_product(e.e2, ep.e2)
-    n2p = ep.e2.order
-    bnd = build_hom(
-        mid.group,
-        pb.group,
-        [
-            pair_pos[(e.xm.boundary(x), ep.xm.boundary(xp))]
-            for x in e.e2.elements()
-            for xp in ep.e2.elements()
-        ],
-    )
-    act = np.zeros((pb.group.order, mid.group.order), dtype=np.int64)
-    for i in range(pb.group.order):
-        g, gp = pb.p1(i), pb.p2(i)
-        for x in e.e2.elements():
-            for xp in ep.e2.elements():
-                act[i, x * n2p + xp] = e.xm.act(g, x) * n2p + ep.xm.act(gp, xp)
-    xm = build_crossed_module(bnd, build_action(pb.group, mid.group, act))
-    bprod = direct_product(e.b, ep.b)
-    nbp = ep.b.order
-    j = build_hom(
-        bprod.group,
-        mid.group,
-        [
-            e.j(b) * n2p + ep.j(bq)
-            for b in e.b.elements()
-            for bq in ep.b.elements()
-        ],
-    )
-    p_new = compose(ep.p, pb.p2)
-    result = build_crossed_extension(j, xm, p_new)
+    n2p, npb = ep.e2.order, pb.group.order
+    # boundaries land in the kernels of p and p', so every pair is in the pullback
+    bnd = _hom(mid.group, pb.group,
+               pb.pair_index(e.xm.boundary.map[:, None], ep.xm.boundary.map).ravel())
+    act = (e.xm.action.act[pb.p1.map][:, :, None] * n2p
+           + ep.xm.action.act[pb.p2.map][:, None, :])
+    xm = build_crossed_module(bnd, build_action(pb.group, mid.group, act.reshape(npb, -1)))
+    j = _hom(direct_product(e.b, ep.b).group, mid.group,
+             (e.j.map[:, None] * n2p + ep.j.map).ravel())
+    result = build_crossed_extension(j, xm, compose(ep.p, pb.p2))
     expected = cmodule_product(e.module, ep.module).module
     if result.module != expected:
         raise ModuleMismatch("product module is not the module product")
-    mid_index = {
-        (x, xp): x * n2p + xp
-        for x in e.e2.elements()
-        for xp in ep.e2.elements()
-    }
-    return XExtProduct(xext=result, pb=pb, middle_pair_index=mid_index)
+    return XExtProduct(xext=result, pb=pb, middle=mid)
 
 
 def tensor_xext_with_data(e: CrossedExtension, ep: CrossedExtension):
@@ -305,7 +267,7 @@ def tensor_xext(e: CrossedExtension, ep: CrossedExtension) -> CrossedExtension:
 
 def inverse_xext(e: CrossedExtension) -> CrossedExtension:
     """Same boundary and action; kernel arrow negated."""
-    j_star = build_hom(e.b, e.e2, e.j.map[e.b.inv])
+    j_star = _hom(e.b, e.e2, e.j.map[e.b.inv])         # B is abelian
     return build_crossed_extension(j_star, e.xm, e.p)
 
 
@@ -381,20 +343,19 @@ def build_butterfly(
             "ii", "(iota, delta) is not short exact"
         )
 
-    for f in f_group.elements():
-        df = delta(f)
-        for x in dom.e2.elements():
-            if kappa(dom.xm.act(df, x)) != f_group.conj(f, kappa(x)):
-                raise ButterflyConditionViolation(
-                    "iii", f"kappa not pre-crossed at (f, x) = ({f}, {x})"
-                )
-    for f in f_group.elements():
-        gf = gamma(f)
-        for xp in cod.e2.elements():
-            if iota(cod.xm.act(gf, xp)) != f_group.conj(f, iota(xp)):
-                raise ButterflyConditionViolation(
-                    "iv", f"iota not pre-crossed at (f, x') = ({f}, {xp})"
-                )
+    # kappa(delta(f) * x) vs f + kappa(x) - f, and the same for iota
+    bad = kappa.map[dom.xm.action.act[delta.map]] != f_group.conjugates(kappa.map)
+    if bad.any():
+        f, x = (int(i) for i in np.argwhere(bad)[0])
+        raise ButterflyConditionViolation(
+            "iii", f"kappa not pre-crossed at (f, x) = ({f}, {x})"
+        )
+    bad = iota.map[cod.xm.action.act[gamma.map]] != f_group.conjugates(iota.map)
+    if bad.any():
+        f, xp = (int(i) for i in np.argwhere(bad)[0])
+        raise ButterflyConditionViolation(
+            "iv", f"iota not pre-crossed at (f, x') = ({f}, {xp})"
+        )
     return Butterfly(
         dom=dom, cod=cod, f_group=f_group,
         kappa=kappa, iota=iota, delta=delta, gamma=gamma,
@@ -409,24 +370,19 @@ def butterfly_beta(b: Butterfly) -> CModuleMorphism:
     component reads off beta.  Postcondition: kappa.j = iota.j'.(-beta).
     """
     try:
-        coop = cooperator(b.kappa, b.iota)
+        sums = cooperator_sums(b.kappa, b.iota)
     except ImagesDoNotCommute as exc:
         raise CooperatorFails(str(exc)) from exc
-    n_iota = b.iota.dom.order
-    ker_elems = coop.kernel_elements()
-    first = {}
-    for idx in ker_elems:
-        x, xp = divmod(idx, n_iota)
-        if x in first:
-            raise CooperatorFails("cooperator kernel is not a graph over B")
-        first[x] = xp
-    in_bp = {b.cod.j(v): v for v in b.cod.b.elements()}
-    mapping = np.zeros(b.dom.b.order, dtype=np.int64)
-    for bb in b.dom.b.elements():
-        x = b.dom.j(bb)
-        if x not in first or first[x] not in in_bp:
-            raise CooperatorFails("kernel of the cooperator misses a B element")
-        mapping[bb] = in_bp[first[x]]
+    x, xp = np.nonzero(sums == 0)                       # the cooperator kernel, x sorted
+    if (x[1:] == x[:-1]).any():
+        raise CooperatorFails("cooperator kernel is not a graph over B")
+    first = np.full(b.dom.e2.order, -1, dtype=np.int64)
+    first[x] = xp
+    in_bp = np.full(b.cod.e2.order + 1, -1, dtype=np.int64)     # in_bp[-1] = -1
+    in_bp[b.cod.j.map] = np.arange(b.cod.b.order)
+    mapping = in_bp[first[b.dom.j.map]]
+    if (mapping < 0).any():
+        raise CooperatorFails("kernel of the cooperator misses a B element")
     beta = cmodule_morphism(b.dom.module, b.cod.module, mapping)
     from .actions import negate
 
@@ -441,24 +397,13 @@ def compose_butterflies(second: Butterfly, first: Butterfly) -> Butterfly:
     if first.cod != second.dom:
         raise TypeMismatch("butterflies are not composable")
     pb = pullback(first.gamma, second.delta)
-    pair_pos = {(pb.p1(i), pb.p2(i)): i for i in range(pb.group.order)}
-    mid = first.cod.e2
-    n_elems = [
-        pair_pos[(first.iota(xp), second.kappa(xp))] for xp in mid.elements()
-    ]
-    if not is_normal(pb.group, set(n_elems)):
+    n_elems = pb.pair_index(first.iota.map, second.kappa.map)
+    if not is_normal(pb.group, n_elems):
         raise TypeMismatch("identified middle image is not normal")
     q_grp, proj = quotient_by(pb.group, n_elems)
-    kappa = build_hom(
-        first.kappa.dom,
-        q_grp,
-        [proj(pair_pos[(first.kappa(x), 0)]) for x in first.kappa.dom.elements()],
-    )
-    iota = build_hom(
-        second.iota.dom,
-        q_grp,
-        [proj(pair_pos[(0, second.iota(x))]) for x in second.iota.dom.elements()],
-    )
+    # (kappa(x), 0) and (0, iota'(x')) lie in the pullback: the wings are complexes
+    kappa = _hom(first.kappa.dom, q_grp, proj.map[pb.pair_index(first.kappa.map, 0)])
+    iota = _hom(second.iota.dom, q_grp, proj.map[pb.pair_index(0, second.iota.map)])
     delta = hom_from_cosets(proj, compose(first.delta, pb.p1))
     gamma = hom_from_cosets(proj, compose(second.gamma, pb.p2))
     return build_butterfly(
@@ -485,24 +430,14 @@ def morphism_to_butterfly(m: XExtMorphism) -> Butterfly:
     kappa(x) = (-f2 x, bnd x) and iota(x') = (x', 0).
     """
     e, ep = m.dom, m.cod
-    act = np.asarray(
-        [[ep.xm.act(m.f1(g), xp) for xp in ep.e2.elements()]
-         for g in e.e1.elements()]
-    )
-    sd = semidirect_product(build_action(e.e1, ep.e2, act))
-    ng = e.e1.order
-    kappa = build_hom(
-        e.e2, sd.group,
-        [ep.e2.neg(m.f2(x)) * ng + e.xm.boundary(x) for x in e.e2.elements()],
-    )
-    iota = sd.inj_normal
-    delta = sd.retraction
-    gamma = build_hom(
-        sd.group, ep.e1,
-        [ep.e1.add(ep.xm.boundary(xp), m.f1(g))
-         for xp in ep.e2.elements() for g in e.e1.elements()],
-    )
-    bf = build_butterfly(e, ep, sd.group, kappa, iota, delta, gamma)
+    # E1 acts through f1; kappa and gamma are homs because (f2, f1) is a
+    # crossed-module morphism and E2' is crossed over E1'
+    sd = semidirect_product(GroupAction(e.e1, ep.e2, ep.xm.action.act[m.f1.map]))
+    kappa = _hom(e.e2, sd.group,
+                 ep.e2.inv[m.f2.map] * e.e1.order + e.xm.boundary.map)
+    gamma = _hom(sd.group, ep.e1,
+                 ep.e1.table[ep.xm.boundary.map[:, None], m.f1.map].ravel())
+    bf = build_butterfly(e, ep, sd.group, kappa, sd.inj_normal, sd.retraction, gamma)
     require(butterfly_beta(bf) == m.beta)
     return bf
 
@@ -521,64 +456,51 @@ def find_butterfly_iso(b1: Butterfly, b2: Butterfly) -> ButterflyIso | None:
     if f1.order != f2.order:
         return None
     n = f1.order
-    sig = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
+    # sigma must keep both legs: compare (delta, gamma) as one label
+    leg1 = b1.delta.map * b1.gamma.cod.order + b1.gamma.map
+    leg2 = b2.delta.map * b2.gamma.cod.order + b2.gamma.map
 
-    fibres: dict[tuple[int, int], list[int]] = {}
-    for f in f2.elements():
-        fibres.setdefault((b2.delta(f), b2.gamma(f)), []).append(f)
-
-    def assign(a: int, b: int, trail: list[int]) -> bool:
-        # set sig[a] = b and close under multiplication with known values
-        queue = [(a, b)]
-        while queue:
-            a, b = queue.pop()
-            if sig[a] >= 0:
-                if sig[a] != b:
-                    return False
-                continue
-            if used[b]:
-                return False
-            if (b1.delta(a), b1.gamma(a)) != (b2.delta(b), b2.gamma(b)):
-                return False
-            sig[a] = b
-            used[b] = True
-            trail.append(a)
-            for x in range(n):
-                if sig[x] >= 0:
-                    queue.append((f1.add(a, x), f2.add(b, sig[x])))
-                    if x != a:
-                        queue.append((f1.add(x, a), f2.add(sig[x], b)))
-        return True
-
-    trail0: list[int] = []
-    ok = assign(0, 0, trail0)
-    for x in b1.kappa.dom.elements():
-        ok = ok and assign(b1.kappa(x), b2.kappa(x), trail0)
-    for x in b1.iota.dom.elements():
-        ok = ok and assign(b1.iota(x), b2.iota(x), trail0)
-    if not ok:
+    def close(sig: np.ndarray | None) -> np.ndarray | None:
+        # the partial map sig closed under +, or None when the closure is not
+        # an injective map that keeps the legs; the closure is the subgroup
+        # generated, so it does not depend on the order of the values
+        while sig is not None:
+            k = np.flatnonzero(sig >= 0)
+            closed = factor_through(f1.table[k[:, None], k].ravel(),
+                                    f2.table[sig[k][:, None], sig[k]].ravel(), n)
+            if closed is None:
+                return None
+            known = np.flatnonzero(closed >= 0)
+            if (leg1[known] != leg2[closed[known]]).any() or np.bincount(closed[known]).max() > 1:
+                return None
+            if known.size == k.size:
+                return closed
+            sig = closed
         return None
 
-    def search() -> bool:
-        pending = [a for a in range(n) if sig[a] < 0]
-        if not pending:
-            return True
+    def search(sig: np.ndarray) -> np.ndarray | None:
+        pending = np.flatnonzero(sig < 0)
+        if not pending.size:
+            return sig
         a = pending[0]
-        for b in fibres.get((b1.delta(a), b1.gamma(a)), []):
-            if used[b]:
-                continue
-            trail: list[int] = []
-            if assign(a, b, trail) and search():
-                return True
-            for t in trail:
-                used[sig[t]] = False
-                sig[t] = -1
-        return False
-
-    if not search():
+        used = np.zeros(n, dtype=bool)
+        used[sig[sig >= 0]] = True
+        for b in np.flatnonzero((leg2 == leg1[a]) & ~used):
+            trial = sig.copy()
+            trial[a] = b
+            trial = close(trial)
+            found = None if trial is None else search(trial)
+            if found is not None:
+                return found
         return None
-    sigma = build_hom(f1, f2, sig)
+
+    seeds = np.concatenate([[0], b1.kappa.map, b1.iota.map])
+    images = np.concatenate([[0], b2.kappa.map, b2.iota.map])
+    sig = close(factor_through(seeds, images, n))
+    sig = None if sig is None else search(sig)
+    if sig is None:
+        return None
+    sigma = _hom(f1, f2, sig)          # closed under +, so a homomorphism
     require(
         compose(sigma, b1.iota) == b2.iota
         and compose(sigma, b1.kappa) == b2.kappa
@@ -608,11 +530,8 @@ def flip(b: Butterfly) -> Butterfly:
 def phi(ext: AbelianExtension) -> Butterfly:
     """The loop butterfly on the unit carried by an abelian extension."""
     unit = unit_xext(ext.module)
-    kappa = build_hom(
-        ext.kernel_arrow.dom,
-        ext.middle,
-        ext.kernel_arrow.map[ext.kernel_arrow.dom.inv],
-    )
+    b_grp = ext.kernel_arrow.dom                        # abelian
+    kappa = _hom(b_grp, ext.middle, ext.kernel_arrow.map[b_grp.inv])
     bf = build_butterfly(
         unit, unit, ext.middle,
         kappa=kappa,
@@ -647,16 +566,8 @@ def tensor_unit_comparison(e: CrossedExtension) -> XExtMorphism:
     """Canonical vertical comparison E -> E (x) I over the identity."""
     unit = unit_xext(e.module)
     tensored, data, lift = tensor_xext_with_data(e, unit)
-    pair_pos = {
-        (data.pb.p1(i), data.pb.p2(i)): i for i in range(data.pb.group.order)
-    }
-    f1 = build_hom(
-        e.e1, data.pb.group, [pair_pos[(g, e.p(g))] for g in e.e1.elements()]
-    )
-    f2 = build_hom(
-        e.e2, tensored.e2,
-        [lift.f2(data.middle_pair_index[(x, 0)]) for x in e.e2.elements()],
-    )
+    f1 = _hom(e.e1, data.pb.group, data.pb.pair_index(np.arange(e.e1.order), e.p.map))
+    f2 = compose(lift.f2, data.middle.inj1)
     return build_xext_morphism(
         e, tensored, identity_morphism(e.module), f2, f1
     )
@@ -679,44 +590,27 @@ def inverse_witness(e: CrossedExtension) -> Butterfly:
     ng = e.e1.order
     pc = compose(e.p, gpd.c)
     k_sub = kernel(pc)
-    pb = data.pb                          # E1 x_C E1, identical labeling
-    pair_pos = {(pb.p1(i), pb.p2(i)): i for i in range(pb.group.order)}
-    cd = build_hom(
-        sd, pb.group,
-        [pair_pos[(gpd.c(f), gpd.d(f))] for f in sd.elements()],
-    )
+    # p.c = p.d on the groupoid, so (c(f), d(f)) is in E1 x_C E1
+    cd = _hom(sd, data.pb.group, data.pb.pair_index(gpd.c.map, gpd.d.map))
 
-    e2 = e.e2
-    bnd = e.xm.boundary
-
-    def phi_pair(x1: int, x2: int) -> int:
-        # cooperator of the two kernel sections of the groupoid
-        return e2.add(e2.neg(x1), e.xm.act(bnd(x1), x2)) * ng + bnd(x1)
-
-    # transport the canonical tensor middle onto Ker(p . c)
+    # transport the canonical tensor middle onto Ker(p . c): the class of
+    # (b, (x1, x2)) goes to (-j(b), 0) + (-x1 + bnd(x1) * x2, bnd(x1)), the
+    # cooperator of the two kernel sections of the groupoid
+    e2, bnd = e.e2, e.xm.boundary.map
     t2 = tensored.e2
-    n_mid = e2.order * e2.order
-    k_pos = {w: i for i, w in enumerate(k_sub.elements)}
-    v2_map = np.full(t2.order, -1, dtype=np.int64)
-    for i in range(e.b.order * n_mid):
-        bb, pair = divmod(i, n_mid)
-        x1, x2 = divmod(pair, e2.order)
-        target = _pushforward_class(tensored, lift, data, bb, x1, x2)
-        w = sd.add(e2.neg(e.j(bb)) * ng + 0, phi_pair(x1, x2))
-        widx = k_pos[w]
-        if v2_map[target] < 0:
-            v2_map[target] = widx
-        elif v2_map[target] != widx:
-            raise ActionNotWellDefined(
-                "tensor-to-groupoid comparison not constant on cosets"
-            )
+    target = t2.table[tensored.j.map[:, None], lift.f2.map]     # [b, (x1, x2)]
+    coop = e2.table[e2.inv[:, None], e.xm.action.act[bnd]] * ng + bnd[:, None]
+    w = sd.table[np.ix_(e2.inv[e.j.map] * ng, coop.ravel())]
+    k_pos = np.full(sd.order, -1, dtype=np.int64)
+    k_pos[k_sub.embedding.map] = np.arange(k_sub.group.order)
+    v2_map = factor_through(target.ravel(), k_pos[w].ravel(), t2.order)
+    if v2_map is None:
+        raise ActionNotWellDefined("tensor-to-groupoid comparison not constant on cosets")
     v2 = build_hom(t2, k_sub.group, v2_map)
     require(v2.is_injective() and v2.is_surjective())
 
     kappa = compose(k_sub.embedding, v2)
-    iota = build_hom(
-        e.b, sd, [e.j(bb) * ng + 0 for bb in e.b.elements()]
-    )
+    iota = compose(gpd.ker_c_section, e.j)
     bf = build_butterfly(
         tensored, unit, sd,
         kappa=kappa, iota=iota, delta=cd, gamma=pc,
@@ -724,12 +618,3 @@ def inverse_witness(e: CrossedExtension) -> Butterfly:
     require(is_flippable(bf))
     require(butterfly_beta(bf).is_identity())
     return bf
-
-
-def _pushforward_class(
-    tensored: CrossedExtension, lift: XExtMorphism, data: XExtProduct,
-    bb: int, x1: int, x2: int,
-) -> int:
-    """Class of (b, (x1, x2)) in the tensor middle via the lift and j."""
-    pair = data.middle_pair_index[(x1, x2)]
-    return tensored.e2.add(tensored.j(bb), lift.f2(pair))

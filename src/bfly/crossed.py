@@ -22,7 +22,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     SemidirectResult,
-    build_hom,
+    _hom,
     semidirect_product,
 )
 
@@ -44,7 +44,7 @@ class CrossedModule:
         return int(self.action.act[g, x])
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, CrossedModule)
             and self.boundary == other.boundary
             and self.action == other.action
@@ -88,28 +88,19 @@ class InternalGroupoid:
 
 
 def associated_groupoid(xm: CrossedModule) -> InternalGroupoid:
+    # d and ker_d are homomorphisms by the pre-crossed and Peiffer identities
     sd = semidirect_product(xm.action)
-    e1, e2 = xm.e1, xm.e2
-    total = sd.group
-    ng = e1.order
-    bnd = xm.boundary
-    d_map = np.asarray(
-        [e1.add(bnd(x), g) for x in e2.elements() for g in e1.elements()]
-    )
-    d = build_hom(total, e1, d_map)
-    c = sd.retraction
-    unit_section = sd.inj_actor
-    ker_c_section = sd.inj_normal
-    kd = np.asarray([e2.neg(x) * ng + bnd(x) for x in e2.elements()])
-    ker_d_section = build_hom(e2, total, kd)
-    require(all(d(ker_d_section(x)) == 0 for x in e2.elements()))
+    e1, e2, bnd = xm.e1, xm.e2, xm.boundary.map
+    d = _hom(sd.group, e1, e1.table[bnd].ravel())        # (x, g) |-> bnd(x) + g
+    ker_d_section = _hom(e2, sd.group, e2.inv * e1.order + bnd)
+    require(not d.map[ker_d_section.map].any())
     return InternalGroupoid(
-        total=total,
+        total=sd.group,
         d=d,
-        c=c,
-        unit_section=unit_section,
+        c=sd.retraction,
+        unit_section=sd.inj_actor,
         ker_d_section=ker_d_section,
-        ker_c_section=ker_c_section,
+        ker_c_section=sd.inj_normal,
         semidirect=sd,
     )
 

@@ -16,7 +16,7 @@ from . import _kernels
 from .actions import (
     CModule,
     CModuleMorphism,
-    build_action,
+    GroupAction,
     identity_morphism,
     induced_module,
 )
@@ -31,7 +31,6 @@ from .groups import (
     GroupHom,
     _group,
     _hom,
-    build_hom,
     compose,
     hom_from_cosets,
     is_short_exact,
@@ -119,16 +118,8 @@ def baer_sum(e1: AbelianExtension, e2: AbelianExtension) -> AbelianExtension:
     k1, g1 = e1.kernel_arrow, e1.quotient_arrow
     k2, g2 = e2.kernel_arrow, e2.quotient_arrow
     pb = pullback(g1, g2)
-    b_grp = k1.dom
-    n2 = k2.cod.order
-    pair_pos = {
-        (pb.p1(i), pb.p2(i)): i for i in range(pb.group.order)
-    }
-    anti = [pair_pos[(k1(b), k2.cod.neg(k2(b)))] for b in b_grp.elements()]
-    q_grp, proj = quotient_by(pb.group, anti)
-    kernel_arrow = build_hom(
-        b_grp, q_grp, [proj(pair_pos[(k1(b), 0)]) for b in b_grp.elements()]
-    )
+    q_grp, proj = quotient_by(pb.group, pb.pair_index(k1.map, k2.cod.inv[k2.map]))
+    kernel_arrow = _hom(k1.dom, q_grp, proj.map[pb.pair_index(k1.map, 0)])
     quotient_arrow = hom_from_cosets(proj, compose(g1, pb.p1))
     ext = build_extension(kernel_arrow, quotient_arrow)
     if ext.module != e1.module:
@@ -148,29 +139,15 @@ def pushforward_extension(
         raise ModuleMismatch("beta must start at the extension's module")
     kappa, gamma = ext.kernel_arrow, ext.quotient_arrow
     e_grp = ext.middle
-    bp = beta.cod.coeff
-    act = np.asarray(
-        [[beta.cod.xi(gamma(e), b) for b in bp.elements()]
-         for e in e_grp.elements()]
-    )
-    sd = semidirect_product(build_action(e_grp, bp, act))
-    ne = e_grp.order
-    ident = [
-        beta(b) * ne + e_grp.neg(kappa(b))
-        for b in ext.module.coeff.elements()
-    ]
-    q_grp, proj = quotient_by(sd.group, ident)
-    kernel_arrow = build_hom(
-        bp, q_grp, [proj(b * ne) for b in bp.elements()]
-    )
-    quotient_arrow = hom_from_cosets(
-        proj, build_hom(sd.group, gamma.cod,
-                        [gamma(e) for _ in bp.elements() for e in e_grp.elements()])
-    )
+    # E acts on B' through gamma: an action by automorphisms
+    sd = semidirect_product(GroupAction(e_grp, beta.cod.coeff, beta.cod.action.act[gamma.map]))
+    q_grp, proj = quotient_by(sd.group, beta.hom.map * e_grp.order + e_grp.inv[kappa.map])
+    kernel_arrow = compose(proj, sd.inj_normal)
+    quotient_arrow = hom_from_cosets(proj, compose(gamma, sd.retraction))
     target = build_extension(kernel_arrow, quotient_arrow)
     if target.module != beta.cod:
         raise ModuleMismatch("pushforward does not land in the target module")
-    mid = build_hom(e_grp, q_grp, [proj(e) for e in e_grp.elements()])
+    mid = compose(proj, sd.inj_actor)
     return ExtensionLift(source=ext, beta=beta, mid=mid, target=target)
 
 

@@ -99,8 +99,8 @@ class FiniteGroup:
         return range(self.order)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and np.array_equal(
-            self.table, other.table
+        return self is other or (
+            isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
         )
 
     def __hash__(self) -> int:
@@ -200,7 +200,7 @@ class GroupHom:
         return bool(np.all(self.map == 0))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GroupHom)
             and self.dom == other.dom
             and self.cod == other.cod
@@ -356,11 +356,7 @@ def quotient_by(g: FiniteGroup, normal_elements) -> tuple[FiniteGroup, GroupHom]
     # a finite subset that holds 0 and is closed under + is a subgroup
     subgroup = member[0] and member[g.table[np.ix_(nelems, nelems)]].all()
     require(subgroup and is_normal(g, nelems), "quotient_by requires a normal subgroup")
-    rep = np.full(g.order, -1, dtype=np.int64)
-    for a in g.elements():
-        if rep[a] < 0:
-            coset = g.table[a, nelems]
-            rep[coset] = coset.min()
+    rep = g.table[:, nelems].min(axis=1)                 # least member of a + N
     labels = np.flatnonzero(rep == np.arange(g.order))    # least members
     pos = np.full(g.order, -1, dtype=np.int64)
     pos[labels] = np.arange(len(labels))
@@ -409,6 +405,11 @@ class PullbackResult:
     group: FiniteGroup
     p1: GroupHom
     p2: GroupHom
+    pos: np.ndarray = field(compare=False)     # [a, b] -> index of (a, b), or -1
+
+    def pair_index(self, a, b):
+        """Index of the member pair (a, b); a and b broadcast as arrays."""
+        return self.pos[a, b]
 
 
 def pullback(f: GroupHom, g: GroupHom) -> PullbackResult:
@@ -422,11 +423,11 @@ def pullback(f: GroupHom, g: GroupHom) -> PullbackResult:
     a, b = np.nonzero(f.map[:, None] == g.map[None, :])
     nb = g.dom.order
     _check_order(len(a))
-    pos = np.full(f.dom.order * nb, -1, dtype=np.int64)
-    pos[a * nb + b] = np.arange(len(a))
-    table = pos[f.dom.table[np.ix_(a, a)] * nb + g.dom.table[np.ix_(b, b)]]
-    grp = _group(table)
-    return PullbackResult(grp, _hom(grp, f.dom, a), _hom(grp, g.dom, b))
+    pos = np.full((f.dom.order, nb), -1, dtype=np.int64)
+    pos[a, b] = np.arange(len(a))
+    pos.setflags(write=False)
+    grp = _group(pos[f.dom.table[np.ix_(a, a)], g.dom.table[np.ix_(b, b)]])
+    return PullbackResult(grp, _hom(grp, f.dom, a), _hom(grp, g.dom, b), pos)
 
 
 @dataclass(frozen=True)
@@ -453,28 +454,25 @@ def semidirect_product(action) -> SemidirectResult:
     return SemidirectResult(grp, inj_normal, inj_actor, retraction)
 
 
-def cooperator(kappa: GroupHom, iota: GroupHom) -> GroupHom:
-    """(x, y) |-> kappa(x) + iota(y), defined when the images commute."""
+def cooperator_sums(kappa: GroupHom, iota: GroupHom) -> np.ndarray:
+    """[x, y] = kappa(x) + iota(y), once every kappa(x) commutes with every iota(y)."""
     if kappa.cod != iota.cod:
         raise DomainMismatch("cooperator requires a shared codomain")
-    f = kappa.cod
-    for x in kappa.dom.elements():
-        for y in iota.dom.elements():
-            u, v = kappa(x), iota(y)
-            if f.add(u, v) != f.add(v, u):
-                raise ImagesDoNotCommute(
-                    f"kappa({x}) = {u} and iota({y}) = {v} do not commute"
-                )
-    prod = direct_product(kappa.dom, iota.dom)
-    ny = iota.dom.order
-    m = np.asarray(
-        [
-            f.add(kappa(x), iota(y))
-            for x in kappa.dom.elements()
-            for y in range(ny)
-        ]
-    )
-    return build_hom(prod.group, f, m)
+    table, u, v = kappa.cod.table, kappa.map[:, None], iota.map[None, :]
+    sums = table[u, v]
+    bad = sums != table[v, u]
+    if bad.any():
+        x, y = (int(i) for i in np.argwhere(bad)[0])
+        raise ImagesDoNotCommute(
+            f"kappa({x}) = {kappa(x)} and iota({y}) = {iota(y)} do not commute"
+        )
+    return sums
+
+
+def cooperator(kappa: GroupHom, iota: GroupHom) -> GroupHom:
+    """(x, y) |-> kappa(x) + iota(y), a homomorphism when the images commute."""
+    sums = cooperator_sums(kappa, iota)
+    return _hom(direct_product(kappa.dom, iota.dom).group, kappa.cod, sums.ravel())
 
 
 def is_short_exact(kappa: GroupHom, gamma: GroupHom) -> bool:
@@ -551,21 +549,28 @@ def find_isomorphisms(
     return [f for f in all_homs(g, h) if f.is_injective()][:limit]
 
 
+def factor_through(labels: np.ndarray, values: np.ndarray, size: int) -> np.ndarray | None:
+    """out[..., labels[i]] = values[..., i], or None where a fibre takes two values.
+
+    Labels missing from ``labels`` read -1.
+    """
+    present, first = np.unique(labels, return_index=True)
+    out = np.full(values.shape[:-1] + (size,), -1, dtype=np.int64)
+    out[..., present] = values[..., first]
+    return None if (out[..., labels] != values).any() else out
+
+
 def hom_from_cosets(
     proj: GroupHom, quotient_map_target: GroupHom
 ) -> GroupHom:
     """Unique hom q -> T with result . proj = quotient_map_target.
 
-    Requires the target map to be constant on proj-fibres.
+    Requires the target map to be constant on proj-fibres; proj is a
+    surjective hom, so the factored map is a hom.
     """
-    q = proj.cod
-    t = quotient_map_target.cod
-    m = np.full(q.order, -1, dtype=np.int64)
-    for a in proj.dom.elements():
-        i = proj(a)
-        v = quotient_map_target(a)
-        if m[i] < 0:
-            m[i] = v
-        elif m[i] != v:
-            raise NotHomomorphism("map does not factor through the quotient")
-    return build_hom(q, t, m)
+    m = factor_through(proj.map, quotient_map_target.map, proj.cod.order)
+    if m is None:
+        raise NotHomomorphism("map does not factor through the quotient")
+    if (m < 0).any():
+        raise NotHomomorphism("map values must be codomain indices")
+    return _hom(proj.cod, quotient_map_target.cod, m)

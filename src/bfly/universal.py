@@ -25,11 +25,19 @@ def check_cocartesian_extension(
     total = compose_morphisms(beta2, lift.beta)
     tests = extension_morphisms_over(dom, g, total)
     candidates = extension_morphisms_over(lift.target, g, beta2)
-    for h in tests:
-        matches = [u for u in candidates if compose(u, lift.mid) == h]
-        if len(matches) != 1:
-            return False
-    return True
+    if tests and lift.mid.dom != dom.middle:
+        return False
+    return _factor_once([h.map for h in tests], [u.map[lift.mid.map] for u in candidates])
+
+
+def _factor_once(tests: list, composites: list) -> bool:
+    """Every test row equals exactly one composite row."""
+    if not tests:
+        return True
+    if not composites:
+        return False
+    matches = (np.asarray(tests)[:, None] == np.asarray(composites)[None]).all(axis=2)
+    return bool((matches.sum(axis=1) == 1).all())
 
 
 def xext_morphisms_over(
@@ -62,15 +70,10 @@ def check_cocartesian_xext(
     total = compose_morphisms(beta2, lift.beta)
     tests = xext_morphisms_over(lift.dom, g, total)
     candidates = xext_morphisms_over(lift.cod, g, beta2)
-    for h in tests:
-        matches = [
-            u
-            for u in candidates
-            if compose(u.f2, lift.f2) == h.f2 and compose(u.f1, lift.f1) == h.f1
-        ]
-        if len(matches) != 1:
-            return False
-    return True
+    return _factor_once(
+        [np.concatenate([h.f2.map, h.f1.map]) for h in tests],
+        [np.concatenate([u.f2.map[lift.f2.map], u.f1.map[lift.f1.map]]) for u in candidates],
+    )
 
 
 def jointly_generate_square(b) -> bool:
@@ -90,19 +93,14 @@ def extension_product(
     """Fibre product over the shared base: middle E x_C E', kernel B x B'."""
     from .actions import cmodule_product
     from .extensions import build_extension
-    from .groups import build_hom, pullback
+    from .groups import _hom, pullback
 
     if a.quotient_arrow.cod != b.quotient_arrow.cod:
         raise ModuleMismatch("fibre product requires the same base group")
     pm = cmodule_product(a.module, b.module)
     pb = pullback(a.quotient_arrow, b.quotient_arrow)
-    pair_pos = {(pb.p1(i), pb.p2(i)): i for i in range(pb.group.order)}
-    kappa = build_hom(
-        pm.module.coeff, pb.group,
-        [pair_pos[(a.kernel_arrow(x), b.kernel_arrow(y))]
-         for x in a.kernel_arrow.dom.elements()
-         for y in b.kernel_arrow.dom.elements()],
-    )
+    kappa = _hom(pm.module.coeff, pb.group,
+                 pb.pair_index(a.kernel_arrow.map[:, None], b.kernel_arrow.map).ravel())
     gamma = compose(a.quotient_arrow, pb.p1)
     ext = build_extension(kappa, gamma)
     require(ext.module == pm.module)
@@ -112,28 +110,18 @@ def extension_product(
 def product_of_lifts(l1: ExtensionLift, l2: ExtensionLift) -> ExtensionLift:
     """The fibre-product square of two extension lifts."""
     from .actions import cmodule_morphism, cmodule_product
-    from .groups import build_hom, pullback
+    from .groups import _hom, pullback
 
     dom_ext = extension_product(l1.source, l2.source)
     target_ext = extension_product(l1.target, l2.target)
     pm_dom = cmodule_product(l1.beta.dom, l2.beta.dom)
     pm_cod = cmodule_product(l1.beta.cod, l2.beta.cod)
-    mapping = np.asarray(
-        [l1.beta(x) * l2.beta.cod.coeff.order + l2.beta(y)
-         for x in l1.beta.dom.coeff.elements()
-         for y in l2.beta.dom.coeff.elements()]
-    )
-    beta = cmodule_morphism(pm_dom.module, pm_cod.module, mapping)
+    mapping = l1.beta.hom.map[:, None] * l2.beta.cod.coeff.order + l2.beta.hom.map
+    beta = cmodule_morphism(pm_dom.module, pm_cod.module, mapping.ravel())
     pb_dom = pullback(l1.source.quotient_arrow, l2.source.quotient_arrow)
     pb_tgt = pullback(l1.target.quotient_arrow, l2.target.quotient_arrow)
-    tgt_pos = {
-        (pb_tgt.p1(i), pb_tgt.p2(i)): i for i in range(pb_tgt.group.order)
-    }
-    mid = build_hom(
-        dom_ext.middle, target_ext.middle,
-        [tgt_pos[(l1.mid(pb_dom.p1(i)), l2.mid(pb_dom.p2(i)))]
-         for i in range(pb_dom.group.order)],
-    )
+    mid = _hom(dom_ext.middle, target_ext.middle,
+               pb_tgt.pair_index(l1.mid.map[pb_dom.p1.map], l2.mid.map[pb_dom.p2.map]))
     return ExtensionLift(source=dom_ext, beta=beta, mid=mid, target=target_ext)
 
 
@@ -149,29 +137,19 @@ def composition_square(
     """
     from .actions import cmodule_product, pair_codiagonal
     from .extensions import build_extension
-    from .groups import build_hom, hom_from_cosets, pullback, quotient_by
+    from .groups import _hom, hom_from_cosets, pullback, quotient_by
 
     if e.module != ep.module:
         raise ModuleMismatch("loops compose only over a shared module")
     k1, g1 = e.kernel_arrow, e.quotient_arrow
     k2, g2 = ep.kernel_arrow, ep.quotient_arrow
     pb = pullback(g1, g2)
-    pair_pos = {(pb.p1(i), pb.p2(i)): i for i in range(pb.group.order)}
-    b_grp = k1.dom
     pm = cmodule_product(e.module, ep.module)
-    nb = b_grp.order
-    kappa_prod = build_hom(
-        pm.module.coeff, pb.group,
-        [pair_pos[(k1(x), k2(y))]
-         for x in b_grp.elements() for y in b_grp.elements()],
-    )
+    kappa_prod = _hom(pm.module.coeff, pb.group, pb.pair_index(k1.map[:, None], k2.map).ravel())
     gamma_prod = compose(g1, pb.p1)
     dom_ext = build_extension(kappa_prod, gamma_prod)
-    anti = [pair_pos[(k1(b), k2.cod.neg(k2(b)))] for b in b_grp.elements()]
-    q_grp, proj = quotient_by(pb.group, anti)
-    kappa_new = build_hom(
-        b_grp, q_grp, [proj(pair_pos[(0, k2(b))]) for b in b_grp.elements()]
-    )
+    q_grp, proj = quotient_by(pb.group, pb.pair_index(k1.map, k2.cod.inv[k2.map]))
+    kappa_new = _hom(k1.dom, q_grp, proj.map[pb.pair_index(0, k2.map)])
     gamma_new = hom_from_cosets(proj, gamma_prod)
     target = build_extension(kappa_new, gamma_new)
     beta = pair_codiagonal(pm, e.module)

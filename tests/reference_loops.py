@@ -10,19 +10,53 @@ import itertools
 import numpy as np
 
 from bfly import _kernels
-from bfly.actions import CModuleMorphism, build_cmodule
-from bfly.butterflies import XExtMorphism
-from bfly.crossed import CrossedModule
+from bfly.actions import CModuleMorphism, build_action, build_cmodule, cmodule_morphism, cmodule_product
+from bfly.butterflies import (
+    Butterfly,
+    ButterflyIso,
+    XExtMorphism,
+    build_crossed_extension,
+    build_xext_morphism,
+    inverse_xext,
+    is_flippable,
+    tensor_xext_with_data,
+    unit_xext,
+)
+from bfly.crossed import CrossedModule, InternalGroupoid, build_crossed_module
 from bfly.errors import (
     ActionNotWellDefined,
     BaseMismatch,
+    ButterflyConditionViolation,
+    CooperatorFails,
+    DomainMismatch,
+    ImagesDoNotCommute,
+    ModuleMismatch,
     NotCentral,
     NotEquivariant,
     NotExact,
+    NotHomomorphism,
     PeifferViolation,
     PreCrossedViolation,
+    TypeMismatch,
+    require,
 )
-from bfly.groups import GroupHom, build_hom, compose, generating_sequence, zero_hom
+from bfly.groups import (
+    GroupHom,
+    _group,
+    _hom,
+    _membership,
+    build_hom,
+    compose,
+    direct_product,
+    generating_sequence,
+    identity_hom,
+    is_normal,
+    is_short_exact,
+    kernel,
+    pullback,
+    semidirect_product,
+    zero_hom,
+)
 
 SECTION_SCAN_LIMIT = 8  # try every section when the base is at most this big
 
@@ -201,3 +235,397 @@ def ref_induced_module_via_j(j, xm, p):
                 )
             act[c, b] = in_b[img]
     return build_cmodule(c_grp, b_grp, act)
+
+
+# --- the diagram layer: groups, crossed extensions and butterflies ----------
+
+
+def ref_quotient_by(g, normal_elements):
+    """Quotient by a normal subgroup; cosets labeled by least member."""
+    nelems = sorted(set(int(e) for e in normal_elements))
+    member = _membership(g, nelems)
+    # a finite subset that holds 0 and is closed under + is a subgroup
+    subgroup = member[0] and member[g.table[np.ix_(nelems, nelems)]].all()
+    require(subgroup and is_normal(g, nelems), "quotient_by requires a normal subgroup")
+    rep = np.full(g.order, -1, dtype=np.int64)
+    for a in g.elements():
+        if rep[a] < 0:
+            coset = g.table[a, nelems]
+            rep[coset] = coset.min()
+    labels = np.flatnonzero(rep == np.arange(g.order))    # least members
+    pos = np.full(g.order, -1, dtype=np.int64)
+    pos[labels] = np.arange(len(labels))
+    q = _group(pos[rep[g.table[np.ix_(labels, labels)]]])
+    return q, _hom(g, q, pos[rep])
+
+
+def ref_cooperator(kappa, iota):
+    """(x, y) |-> kappa(x) + iota(y), defined when the images commute."""
+    if kappa.cod != iota.cod:
+        raise DomainMismatch("cooperator requires a shared codomain")
+    f = kappa.cod
+    for x in kappa.dom.elements():
+        for y in iota.dom.elements():
+            u, v = kappa(x), iota(y)
+            if f.add(u, v) != f.add(v, u):
+                raise ImagesDoNotCommute(
+                    f"kappa({x}) = {u} and iota({y}) = {v} do not commute"
+                )
+    prod = direct_product(kappa.dom, iota.dom)
+    ny = iota.dom.order
+    m = np.asarray(
+        [
+            f.add(kappa(x), iota(y))
+            for x in kappa.dom.elements()
+            for y in range(ny)
+        ]
+    )
+    return build_hom(prod.group, f, m)
+
+
+def ref_hom_from_cosets(proj, quotient_map_target):
+    """Unique hom q -> T with result . proj = quotient_map_target."""
+    q = proj.cod
+    t = quotient_map_target.cod
+    m = np.full(q.order, -1, dtype=np.int64)
+    for a in proj.dom.elements():
+        i = proj(a)
+        v = quotient_map_target(a)
+        if m[i] < 0:
+            m[i] = v
+        elif m[i] != v:
+            raise NotHomomorphism("map does not factor through the quotient")
+    return build_hom(q, t, m)
+
+
+def ref_associated_groupoid(xm):
+    sd = semidirect_product(xm.action)
+    e1, e2 = xm.e1, xm.e2
+    total = sd.group
+    ng = e1.order
+    bnd = xm.boundary
+    d_map = np.asarray(
+        [e1.add(bnd(x), g) for x in e2.elements() for g in e1.elements()]
+    )
+    d = build_hom(total, e1, d_map)
+    c = sd.retraction
+    unit_section = sd.inj_actor
+    ker_c_section = sd.inj_normal
+    kd = np.asarray([e2.neg(x) * ng + bnd(x) for x in e2.elements()])
+    ker_d_section = build_hom(e2, total, kd)
+    require(all(d(ker_d_section(x)) == 0 for x in e2.elements()))
+    return InternalGroupoid(
+        total=total,
+        d=d,
+        c=c,
+        unit_section=unit_section,
+        ker_d_section=ker_d_section,
+        ker_c_section=ker_c_section,
+        semidirect=sd,
+    )
+
+
+def ref_pushforward_xext(e, beta):
+    """Cocartesian lift along beta: middle (B' x E2)/{(beta b, -j b)}."""
+    if beta.dom != e.module:
+        raise ModuleMismatch("beta must start at the extension's module")
+    bp = beta.cod.coeff
+    e2 = e.e2
+    prod = direct_product(bp, e2)
+    n2 = e2.order
+    ident = [beta(b) * n2 + e2.neg(e.j(b)) for b in e.b.elements()]
+    q_grp, proj = ref_quotient_by(prod.group, ident)
+    j_new = build_hom(bp, q_grp, [proj(b * n2) for b in bp.elements()])
+    bnd_total = build_hom(
+        prod.group,
+        e.e1,
+        [e.xm.boundary(x) for _ in bp.elements() for x in e2.elements()],
+    )
+    bnd_new = ref_hom_from_cosets(proj, bnd_total)
+    act = np.full((e.e1.order, q_grp.order), -1, dtype=np.int64)
+    for g in e.e1.elements():
+        for i in range(prod.group.order):
+            b, x = divmod(i, n2)
+            v = proj(beta.cod.xi(e.p(g), b) * n2 + e.xm.act(g, x))
+            tgt = proj(i)
+            if act[g, tgt] < 0:
+                act[g, tgt] = v
+            elif act[g, tgt] != v:
+                raise ActionNotWellDefined(
+                    "pushforward action is not constant on cosets"
+                )
+    xm_new = build_crossed_module(bnd_new, build_action(e.e1, q_grp, act))
+    result = build_crossed_extension(j_new, xm_new, e.p)
+    if result.module != beta.cod:
+        raise ModuleMismatch("pushforward does not land in the target module")
+    f2 = build_hom(e2, q_grp, [proj(x) for x in e2.elements()])
+    lift = build_xext_morphism(e, result, beta, f2, identity_hom(e.e1))
+    return result, lift
+
+
+def ref_product_xext(e, ep):
+    """Binary product in the category of crossed extensions of C.
+
+    Returns the product and its pullback; the parent also returned the
+    (x, x') -> x * |E2'| + x' dict of the middle.
+    """
+    if e.c != ep.c:
+        raise BaseMismatch("product requires the same base group")
+    pb = pullback(e.p, ep.p)
+    pair_pos = {(pb.p1(i), pb.p2(i)): i for i in range(pb.group.order)}
+    mid = direct_product(e.e2, ep.e2)
+    n2p = ep.e2.order
+    bnd = build_hom(
+        mid.group,
+        pb.group,
+        [
+            pair_pos[(e.xm.boundary(x), ep.xm.boundary(xp))]
+            for x in e.e2.elements()
+            for xp in ep.e2.elements()
+        ],
+    )
+    act = np.zeros((pb.group.order, mid.group.order), dtype=np.int64)
+    for i in range(pb.group.order):
+        g, gp = pb.p1(i), pb.p2(i)
+        for x in e.e2.elements():
+            for xp in ep.e2.elements():
+                act[i, x * n2p + xp] = e.xm.act(g, x) * n2p + ep.xm.act(gp, xp)
+    xm = build_crossed_module(bnd, build_action(pb.group, mid.group, act))
+    bprod = direct_product(e.b, ep.b)
+    j = build_hom(
+        bprod.group,
+        mid.group,
+        [
+            e.j(b) * n2p + ep.j(bq)
+            for b in e.b.elements()
+            for bq in ep.b.elements()
+        ],
+    )
+    p_new = compose(ep.p, pb.p2)
+    result = build_crossed_extension(j, xm, p_new)
+    expected = cmodule_product(e.module, ep.module).module
+    if result.module != expected:
+        raise ModuleMismatch("product module is not the module product")
+    return result, pb
+
+
+def ref_build_butterfly(dom, cod, f_group, kappa, iota, delta, gamma):
+    if dom.c != cod.c:
+        raise TypeMismatch("butterfly endpoints must share the base group")
+    if (
+        kappa.dom != dom.e2
+        or iota.dom != cod.e2
+        or kappa.cod != f_group
+        or iota.cod != f_group
+        or delta.dom != f_group
+        or gamma.dom != f_group
+        or delta.cod != dom.e1
+        or gamma.cod != cod.e1
+    ):
+        raise TypeMismatch("butterfly arrows are not typed as in the diagram")
+
+    if compose(delta, kappa) != dom.xm.boundary:
+        raise ButterflyConditionViolation("i", "delta . kappa != boundary")
+    if compose(gamma, iota) != cod.xm.boundary:
+        raise ButterflyConditionViolation("i", "gamma . iota != boundary'")
+    if compose(dom.p, delta) != compose(cod.p, gamma):
+        raise ButterflyConditionViolation("i", "p . delta != p' . gamma")
+
+    if not compose(gamma, kappa).is_zero():
+        raise ButterflyConditionViolation("ii", "(kappa, gamma) is not a complex")
+    if not is_short_exact(iota, delta):
+        raise ButterflyConditionViolation(
+            "ii", "(iota, delta) is not short exact"
+        )
+
+    for f in f_group.elements():
+        df = delta(f)
+        for x in dom.e2.elements():
+            if kappa(dom.xm.act(df, x)) != f_group.conj(f, kappa(x)):
+                raise ButterflyConditionViolation(
+                    "iii", f"kappa not pre-crossed at (f, x) = ({f}, {x})"
+                )
+    for f in f_group.elements():
+        gf = gamma(f)
+        for xp in cod.e2.elements():
+            if iota(cod.xm.act(gf, xp)) != f_group.conj(f, iota(xp)):
+                raise ButterflyConditionViolation(
+                    "iv", f"iota not pre-crossed at (f, x') = ({f}, {xp})"
+                )
+    return Butterfly(
+        dom=dom, cod=cod, f_group=f_group,
+        kappa=kappa, iota=iota, delta=delta, gamma=gamma,
+    )
+
+
+def ref_butterfly_beta(b):
+    """The module morphism carried by a butterfly, through the cooperator."""
+    try:
+        coop = ref_cooperator(b.kappa, b.iota)
+    except ImagesDoNotCommute as exc:
+        raise CooperatorFails(str(exc)) from exc
+    n_iota = b.iota.dom.order
+    ker_elems = coop.kernel_elements()
+    first = {}
+    for idx in ker_elems:
+        x, xp = divmod(idx, n_iota)
+        if x in first:
+            raise CooperatorFails("cooperator kernel is not a graph over B")
+        first[x] = xp
+    in_bp = {b.cod.j(v): v for v in b.cod.b.elements()}
+    mapping = np.zeros(b.dom.b.order, dtype=np.int64)
+    for bb in b.dom.b.elements():
+        x = b.dom.j(bb)
+        if x not in first or first[x] not in in_bp:
+            raise CooperatorFails("kernel of the cooperator misses a B element")
+        mapping[bb] = in_bp[first[x]]
+    beta = cmodule_morphism(b.dom.module, b.cod.module, mapping)
+    from bfly.actions import negate
+
+    lhs = compose(b.kappa, b.dom.j)
+    rhs = compose(compose(b.iota, b.cod.j), negate(beta).hom)
+    require(lhs == rhs, "beta postcondition kappa.j = iota.j'.(-beta) failed")
+    return beta
+
+
+def ref_find_butterfly_iso(b1, b2):
+    """First isomorphism of parallel butterflies, in deterministic order."""
+    if b1.dom != b2.dom or b1.cod != b2.cod:
+        raise TypeMismatch("butterfly isomorphisms require parallel butterflies")
+    f1, f2 = b1.f_group, b2.f_group
+    if f1.order != f2.order:
+        return None
+    n = f1.order
+    sig = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+
+    fibres: dict[tuple[int, int], list[int]] = {}
+    for f in f2.elements():
+        fibres.setdefault((b2.delta(f), b2.gamma(f)), []).append(f)
+
+    def assign(a: int, b: int, trail: list[int]) -> bool:
+        # set sig[a] = b and close under multiplication with known values
+        queue = [(a, b)]
+        while queue:
+            a, b = queue.pop()
+            if sig[a] >= 0:
+                if sig[a] != b:
+                    return False
+                continue
+            if used[b]:
+                return False
+            if (b1.delta(a), b1.gamma(a)) != (b2.delta(b), b2.gamma(b)):
+                return False
+            sig[a] = b
+            used[b] = True
+            trail.append(a)
+            for x in range(n):
+                if sig[x] >= 0:
+                    queue.append((f1.add(a, x), f2.add(b, sig[x])))
+                    if x != a:
+                        queue.append((f1.add(x, a), f2.add(sig[x], b)))
+        return True
+
+    trail0: list[int] = []
+    ok = assign(0, 0, trail0)
+    for x in b1.kappa.dom.elements():
+        ok = ok and assign(b1.kappa(x), b2.kappa(x), trail0)
+    for x in b1.iota.dom.elements():
+        ok = ok and assign(b1.iota(x), b2.iota(x), trail0)
+    if not ok:
+        return None
+
+    def search() -> bool:
+        pending = [a for a in range(n) if sig[a] < 0]
+        if not pending:
+            return True
+        a = pending[0]
+        for b in fibres.get((b1.delta(a), b1.gamma(a)), []):
+            if used[b]:
+                continue
+            trail: list[int] = []
+            if assign(a, b, trail) and search():
+                return True
+            for t in trail:
+                used[sig[t]] = False
+                sig[t] = -1
+        return False
+
+    if not search():
+        return None
+    sigma = build_hom(f1, f2, sig)
+    require(
+        compose(sigma, b1.iota) == b2.iota
+        and compose(sigma, b1.kappa) == b2.kappa
+        and compose(b2.gamma, sigma) == b1.gamma
+        and compose(b2.delta, sigma) == b1.delta
+    )
+    return ButterflyIso(dom=b1, cod=b2, sigma=sigma)
+
+
+def ref_inverse_witness(e):
+    """Flippable butterfly from E (x) E* to the unit, with F = E2 x| E1.
+
+    ``data.middle_pair_index[(x1, x2)]`` of the parent reads
+    ``data.middle.pair_index(x1, x2)`` here.
+    """
+    star = inverse_xext(e)
+    tensored, data, lift = tensor_xext_with_data(e, star)
+    unit = unit_xext(e.module)
+
+    gpd = ref_associated_groupoid(e.xm)
+    sd = gpd.total
+    ng = e.e1.order
+    pc = compose(e.p, gpd.c)
+    k_sub = kernel(pc)
+    pb = data.pb                          # E1 x_C E1, identical labeling
+    pair_pos = {(pb.p1(i), pb.p2(i)): i for i in range(pb.group.order)}
+    cd = build_hom(
+        sd, pb.group,
+        [pair_pos[(gpd.c(f), gpd.d(f))] for f in sd.elements()],
+    )
+
+    e2 = e.e2
+    bnd = e.xm.boundary
+
+    def phi_pair(x1: int, x2: int) -> int:
+        # cooperator of the two kernel sections of the groupoid
+        return e2.add(e2.neg(x1), e.xm.act(bnd(x1), x2)) * ng + bnd(x1)
+
+    # transport the canonical tensor middle onto Ker(p . c)
+    t2 = tensored.e2
+    n_mid = e2.order * e2.order
+    k_pos = {w: i for i, w in enumerate(k_sub.elements)}
+    v2_map = np.full(t2.order, -1, dtype=np.int64)
+    for i in range(e.b.order * n_mid):
+        bb, pair = divmod(i, n_mid)
+        x1, x2 = divmod(pair, e2.order)
+        target = _ref_pushforward_class(tensored, lift, data, bb, x1, x2)
+        w = sd.add(e2.neg(e.j(bb)) * ng + 0, phi_pair(x1, x2))
+        widx = k_pos[w]
+        if v2_map[target] < 0:
+            v2_map[target] = widx
+        elif v2_map[target] != widx:
+            raise ActionNotWellDefined(
+                "tensor-to-groupoid comparison not constant on cosets"
+            )
+    v2 = build_hom(t2, k_sub.group, v2_map)
+    require(v2.is_injective() and v2.is_surjective())
+
+    kappa = compose(k_sub.embedding, v2)
+    iota = build_hom(
+        e.b, sd, [e.j(bb) * ng + 0 for bb in e.b.elements()]
+    )
+    bf = ref_build_butterfly(
+        tensored, unit, sd,
+        kappa=kappa, iota=iota, delta=cd, gamma=pc,
+    )
+    require(is_flippable(bf))
+    require(ref_butterfly_beta(bf).is_identity())
+    return bf
+
+
+def _ref_pushforward_class(tensored, lift, data, bb, x1, x2):
+    """Class of (b, (x1, x2)) in the tensor middle via the lift and j."""
+    pair = data.middle.pair_index(x1, x2)
+    return tensored.e2.add(tensored.j(bb), lift.f2(pair))

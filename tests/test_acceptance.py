@@ -5,12 +5,16 @@ the per-catalog-instance checks; criterion 10 exercises the CLI twice and
 compares bytes.  Stated runtime budgets are asserted where they apply.
 """
 
+import hashlib
 import io
 import time
 from contextlib import redirect_stdout
 
 from bfly.cli import main
 from bfly.verify import run_suite
+
+# sha256 of `bfly verify all --json`: every check's name, verdict and detail
+VERIFY_ALL_SHA256 = "9c7460eb0879af9ff4b7074ac21353c73031c52c17714683966b25f60568da08"
 
 
 def _run(suite: str, budget: float | None = None) -> None:
@@ -74,5 +78,7 @@ def test_criterion_10_determinism_and_runtime():
         outputs.append(buf.getvalue())
     elapsed = time.perf_counter() - start
     assert outputs[0] == outputs[1], "verify all --json is not byte-stable"
+    digest = hashlib.sha256(outputs[0].encode()).hexdigest()
+    assert digest == VERIFY_ALL_SHA256, "verify all --json changed its answers"
     assert elapsed / 2 < 300, f"verify all took {elapsed / 2:.0f}s on average"
     print(f"PASS determinism: two byte-identical runs, {elapsed / 2:.1f}s each")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, flags, workspace, stable output."""
 
+import hashlib
 import json
 
 import pytest
@@ -28,6 +29,13 @@ def test_catalog_generate_writes_manifest(workspace):
     docs = sorted(p.name for p in workspace.glob("*.cmodule.json"))
     assert "z2-z2-a0.cmodule.json" in docs
     assert len(docs) == 22
+
+
+def test_catalog_manifest_is_byte_stable(tmp_path):
+    """The catalog's documents are pinned by the sha256 of their manifest."""
+    assert main(["catalog", "generate", "--workspace", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == "ae411bdf57682a2096eef1d78591333061c8812f311edc488d94bea6fee77bb3"
 
 
 def test_validate_good_document(capsys, workspace):

@@ -290,6 +290,60 @@ def test_derived_constructions_pass_full_validation(s3):
             same_hom(ext.kernel_arrow)
             same_hom(ext.quotient_arrow)
 
+    # the maps of the diagram layer that are homomorphisms by construction
+    from bfly.actions import all_module_morphisms
+    from bfly.butterflies import (
+        compose_butterflies, find_butterfly_iso, identity_butterfly, inverse_witness,
+        inverse_xext, morphism_to_butterfly, phi, product_xext_with_data,
+        tensor_unit_comparison,
+    )
+    from bfly.catalog import h3_catalog
+    from bfly.crossed import associated_groupoid
+    from bfly.extensions import baer_sum, pushforward_extension
+    from bfly.universal import composition_square, extension_product, product_of_lifts
+
+    def same_butterfly(b):
+        same_group(b.f_group)
+        for f in (b.kappa, b.iota, b.delta, b.gamma):
+            same_hom(f)
+
+    mods = standard_modules()
+    for _, m in mods[::3]:
+        entries = [e for _, e in h3_catalog(m, mods)]
+        for e in entries:
+            gpd = associated_groupoid(e.xm)
+            same_hom(gpd.d)
+            same_hom(gpd.ker_d_section)
+            ident = identity_butterfly(e)
+            same_hom(cooperator(ident.kappa, ident.iota))
+            comp = compose_butterflies(ident, ident)    # wings by _hom, legs by hom_from_cosets
+            same_butterfly(comp)
+            same_hom(find_butterfly_iso(comp, ident).sigma)
+            same_hom(inverse_xext(e).j)
+            same_hom(inverse_witness(e).delta)
+            prod = product_xext_with_data(e, entries[0]).xext
+            same_hom(prod.j)
+            same_hom(prod.xm.boundary)
+            cmp = tensor_unit_comparison(e)
+            same_hom(cmp.f1)
+            same_butterfly(morphism_to_butterfly(cmp))
+        exts = h2_catalog(m)
+        for e1 in exts[:2]:
+            same_hom(phi(e1).kappa)
+            for e2 in exts[:2]:
+                total = baer_sum(e1, e2)
+                same_hom(total.kernel_arrow)
+                same_hom(total.quotient_arrow)
+                same_hom(extension_product(e1, e2).kernel_arrow)
+                square = composition_square(e1, e2)
+                same_hom(square.source.kernel_arrow)
+                same_hom(square.target.kernel_arrow)
+            for beta in all_module_morphisms(m, m)[:2]:
+                lift = pushforward_extension(e1, beta)
+                same_group(lift.target.middle)
+                same_hom(lift.target.quotient_arrow)
+                same_hom(product_of_lifts(lift, lift).mid)
+
 
 def test_constructions_match_their_definitions(s3):
     """Vectorised constructions against their pointwise definitions."""
@@ -387,3 +441,38 @@ def test_hom_searches_match_the_generator_loop(s3):
             isos = [f.map.tolist() for f in find_isomorphisms(g, h)]
             assert isos == [f.map.tolist() for f in ref_find_isomorphisms(g, h)], (gn, hn)
             assert [f.map.tolist() for f in find_isomorphisms(g, h, limit=1)] == isos[:1]
+
+
+def test_quotients_and_cooperators_match_the_loops(s3):
+    """quotient_by, hom_from_cosets and cooperator against the parent's loops."""
+    from bfly.errors import BflyError
+    from bfly.groups import hom_from_cosets
+    from reference_loops import ref_cooperator, ref_hom_from_cosets, ref_quotient_by
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except BflyError as exc:
+            return type(exc), str(exc)
+
+    groups = _search_groups(s3)
+    raised = set()
+    for (gn, g), (hn, h) in itertools.product(groups.items(), repeat=2):
+        if g.order * h.order > 64:
+            continue
+        homs = all_homs(g, h)
+        for f in homs:
+            q, proj = quotient_by(g, f.kernel_elements())
+            want_q, want_proj = ref_quotient_by(g, f.kernel_elements())
+            assert q == want_q and proj == want_proj, (gn, hn)
+            for t in homs[:4]:
+                got = outcome(hom_from_cosets, proj, t)
+                assert got == outcome(ref_hom_from_cosets, proj, t), (gn, hn)
+                raised.add(got[0] if isinstance(got, tuple) else None)
+    for hn in ("S3", "S3'", "Z2xZ4", "K4"):
+        into = [f for g in groups.values() if g.order <= 8 for f in all_homs(g, groups[hn])[:2]]
+        for kappa, iota in itertools.product(into, repeat=2):
+            got = outcome(cooperator, kappa, iota)
+            assert got == outcome(ref_cooperator, kappa, iota), hn
+            raised.add(got[0] if isinstance(got, tuple) else None)
+    assert {None, NotHomomorphism, ImagesDoNotCommute} <= raised

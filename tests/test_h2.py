@@ -114,6 +114,38 @@ def test_pushforward_is_cocartesian(z2_z2_triv):
     assert extension_morphisms_over(e, lift.target, beta)
 
 
+def test_cocartesian_check_counts_one_factorisation(z2_z2_triv, z2_z3_inv):
+    """The array count against the parent's candidate-by-candidate count."""
+    from bfly.actions import all_module_morphisms, compose_morphisms, identity_morphism
+    from bfly.extensions import ExtensionLift
+    from bfly.groups import build_hom, compose
+    from bfly.universal import _factor_once
+
+    def candidate_count(lift, dom, g, beta2):
+        total = compose_morphisms(beta2, lift.beta)
+        tests = extension_morphisms_over(dom, g, total)
+        candidates = extension_morphisms_over(lift.target, g, beta2)
+        return all(sum(compose(u, lift.mid) == h for u in candidates) == 1 for h in tests)
+
+    verdicts = set()
+    for m in (z2_z2_triv, z2_z3_inv):
+        unit = unit_extension(m)
+        # a square over beta = 0 that claims beta = id: nothing factors through it
+        split = build_hom(unit.middle, unit.middle, unit.quotient_arrow.map)
+        fake = ExtensionLift(source=unit, beta=identity_morphism(m), mid=split, target=unit)
+        for beta in all_module_morphisms(m, m):
+            lift = pushforward_extension(unit, beta)
+            for square, g in ((lift, lift.target), (lift, unit), (fake, unit)):
+                for b2 in all_module_morphisms(m, m):
+                    got = check_cocartesian_extension(square, unit, g, b2)
+                    assert got == candidate_count(square, unit, g, b2)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+    assert not _factor_once([[0, 1]], [[0, 1], [0, 1]])
+    assert _factor_once([[0, 1]], [[0, 1], [1, 1]])
+    assert not _factor_once([[0, 1]], [])
+
+
 def test_pushforward_middle_group(z2_z2_triv, z4):
     from bfly.actions import identity_morphism
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from bfly.actions import identity_morphism, zero_morphism
@@ -31,7 +32,12 @@ from bfly.catalog import (
     trivial_class_spliced_xext,
 )
 from bfly.cohomology import cohomology
-from bfly.errors import ButterflyConditionViolation, NotFlippable, NotPi1Shape
+from bfly.errors import (
+    ActionNotWellDefined,
+    ButterflyConditionViolation,
+    NotFlippable,
+    NotPi1Shape,
+)
 from bfly.extensions import unit_extension
 from bfly.bridges import extension_from_2cocycle
 from bfly.cohomology import build_cochain
@@ -211,3 +217,107 @@ def test_induced_modules_match_the_lift_loops():
             assert ext.module == ref_induced_module(ext.kernel_arrow, ext.quotient_arrow)
         for en, e in entries + [("identity", x) for x in identity_xext_family()]:
             assert e.module == ref_induced_module_via_j(e.j, e.xm, e.p), (name, en)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of the library error it raised."""
+    from bfly.errors import BflyError
+
+    try:
+        return fn(*args)
+    except BflyError as exc:
+        return type(exc), str(exc)
+
+
+def _perturbed(e, swaps):
+    """e with the images of x1 and x2 under g * (-) swapped for each (g, x1, x2)."""
+    from dataclasses import replace
+
+    from bfly.actions import GroupAction
+    from bfly.crossed import CrossedModule
+
+    act = e.xm.action.act.copy()
+    for g, x1, x2 in swaps:
+        act[g, [x1, x2]] = act[g, [x2, x1]]
+    return replace(e, xm=CrossedModule(e.xm.boundary, GroupAction(e.e1, e.e2, act)))
+
+
+def _broken_actions(e):
+    """Swaps that break the wing laws, the pushforward's cosets, and both orders.
+
+    (g, 1, last) breaks g's row; (g, 1, 1 + j(1)) mixes a coset of j(B); the
+    pair of swaps breaks an early row at late elements and a late row at
+    early ones, so the first failure in row-major order is not the first
+    in column-major order.
+    """
+    n1, n2 = e.e1.order, e.e2.order
+    out = []
+    for g in range(1, n1):
+        if n2 > 2:
+            out.append([(g, 1, n2 - 1)])
+        if e.b.order > 1 and e.e2.add(1, e.j(1)) not in (0, 1):
+            out.append([(g, 1, e.e2.add(1, e.j(1)))])
+    if n1 > 2 and n2 > 3:
+        out.append([(1, n2 - 2, n2 - 1), (n1 - 1, 1, 2)])
+    return [_perturbed(e, swaps) for swaps in out]
+
+
+def test_butterfly_layer_matches_the_pointwise_loops():
+    """Every h3-catalog object of the 22 modules against the parent's loops."""
+    from bfly.actions import all_module_morphisms
+    from bfly.butterflies import product_xext_with_data
+    from bfly.catalog import h2_catalog
+    from bfly.crossed import associated_groupoid
+    from bfly.groups import cooperator
+    from reference_loops import (
+        ref_associated_groupoid,
+        ref_build_butterfly,
+        ref_butterfly_beta,
+        ref_cooperator,
+        ref_find_butterfly_iso,
+        ref_inverse_witness,
+        ref_product_xext,
+        ref_pushforward_xext,
+    )
+
+    def same_iso(b1, b2):
+        got, want = find_butterfly_iso(b1, b2), ref_find_butterfly_iso(b1, b2)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.sigma == want.sigma
+        return got is not None
+
+    failures, isos = set(), 0
+    for name, m, entries in _xext_sweep():
+        betas = all_module_morphisms(m, m)[:2]
+        unit = entries[0][1]
+        for en, e in entries:
+            gpd, want_gpd = associated_groupoid(e.xm), ref_associated_groupoid(e.xm)
+            assert (gpd.d, gpd.ker_d_section) == (want_gpd.d, want_gpd.ker_d_section)
+            ident = identity_butterfly(e)
+            wings = (ident.f_group, ident.kappa, ident.iota, ident.delta, ident.gamma)
+            assert ref_build_butterfly(e, e, *wings) == ident, (name, en)
+            assert butterfly_beta(ident) == ref_butterfly_beta(ident)
+            assert cooperator(ident.kappa, ident.iota) == ref_cooperator(ident.kappa, ident.iota)
+            for beta in betas:
+                assert pushforward_xext(e, beta) == ref_pushforward_xext(e, beta), (name, en)
+            prod = product_xext_with_data(e, unit)
+            want, want_pb = ref_product_xext(e, unit)
+            assert prod.xext == want and prod.pb.group == want_pb.group
+            assert (prod.pb.p1, prod.pb.p2) == (want_pb.p1, want_pb.p2)
+            assert inverse_witness(e) == ref_inverse_witness(e), (name, en)
+            isos += same_iso(compose_butterflies(ident, ident), ident)
+            for bad in _broken_actions(e):
+                for dom, cod in ((bad, e), (e, bad)):
+                    got = _outcome(build_butterfly, dom, cod, *wings)
+                    assert got == _outcome(ref_build_butterfly, dom, cod, *wings), (name, en)
+                    failures.add(got[0] if isinstance(got, tuple) else None)
+                for beta in betas:
+                    got = _outcome(pushforward_xext, bad, beta)
+                    assert got == _outcome(ref_pushforward_xext, bad, beta), (name, en)
+                    failures.add(got[0] if isinstance(got[0], type) else None)
+        loops = [phi(ext) for ext in h2_catalog(m)]
+        for b1, b2 in itertools.product(loops, repeat=2):
+            isos += same_iso(b1, b2)
+    assert isos > 0
+    assert {ButterflyConditionViolation, ActionNotWellDefined} <= failures
