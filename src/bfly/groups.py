@@ -552,7 +552,7 @@ def find_isomorphisms(
 def factor_through(labels: np.ndarray, values: np.ndarray, size: int) -> np.ndarray | None:
     """out[..., labels[i]] = values[..., i], or None where a fibre takes two values.
 
-    Labels missing from ``labels`` read -1.
+    Labels that never occur in ``labels`` read -1.
     """
     present, first = np.unique(labels, return_index=True)
     out = np.full(values.shape[:-1] + (size,), -1, dtype=np.int64)
