@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from bfly.actions import identity_morphism, zero_morphism
