@@ -8,6 +8,7 @@ homomorphisms between coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,8 +108,12 @@ class CModule:
             and self.action == other.action
         )
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.base, self.coeff, self.action))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         kind = "trivial" if self.action.is_trivial() else "twisted"

@@ -263,7 +263,7 @@ class CohomologyGroup:
     group: FiniteGroup                  # product of the invariant factors
     factors: tuple[int, ...]            # cyclic orders of the generators
     _basis: np.ndarray                  # adapted basis of the cocycle lattice
-    _basis_snf: SmithDecomposition      # a Smith decomposition of _basis
+    _basis_snf: SmithDecomposition      # U, S, V of a Smith decomposition of _basis
     _sdiag: tuple[int, ...]             # elementary divisors along _basis
     _dec: CyclicDecomposition
     _tuples: tuple
@@ -382,7 +382,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
             group=cyclic_group(1),
             factors=(),
             _basis=empty,
-            _basis_snf=SmithDecomposition(empty, empty, empty, empty, empty),
+            _basis_snf=SmithDecomposition(empty, empty, empty, None, None),
             _sdiag=(),
             _dec=dec,
             _tuples=(),
@@ -406,10 +406,10 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
 
     # express coboundaries in the cocycle basis and read off the quotient;
     # the basis is square and nonsingular, so each solution is unique
-    lattice = smith_normal_form(basis)
+    lattice = smith_normal_form(basis, "u v")
     x = solve_integer(basis, cob_gens, dec=lattice)
     require(x is not None, "coboundary outside the cocycle lattice")
-    dec_x = smith_normal_form(x)
+    dec_x = smith_normal_form(x, "u uinv")
     sdiag = tuple(
         int(dec_x.s[i, i]) if i < min(dec_x.s.shape) else 0
         for i in range(n_unknowns)
@@ -418,11 +418,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     adapted = basis @ dec_x.uinv
     # U @ basis @ V = S gives U @ adapted @ (dec_x.u @ V) = S
     adapted_snf = SmithDecomposition(
-        u=lattice.u,
-        s=lattice.s,
-        v=dec_x.u @ lattice.v,
-        uinv=lattice.uinv,
-        vinv=lattice.vinv @ dec_x.uinv,
+        u=lattice.u, s=lattice.s, v=dec_x.u @ lattice.v, uinv=None, vinv=None
     )
     factors = tuple(s for s in sdiag if s > 1)
     group = _mixed_radix_group(factors)
@@ -479,11 +475,19 @@ def _cocycles(module: CModule, degree: int) -> np.ndarray:
     return v
 
 
+def _distinct_rows(rows: np.ndarray) -> int:
+    """Number of distinct rows; np.unique(axis=0) would import numpy.ma."""
+    if not rows.size:
+        return min(len(rows), 1)
+    rows = rows[np.lexsort(rows.T)]
+    return 1 + int((rows[1:] != rows[:-1]).any(axis=1).sum())
+
+
 def cohomology_brute(module: CModule, degree: int) -> int:
     """Order of the cohomology group by exhaustive vectorized enumeration."""
     n_cocycles = len(_cocycles(module, degree))
     lower = _candidate_matrix(module, degree - 1)
-    n_cobs = len(np.unique(_coboundary_values(module, degree - 1, lower), axis=0))
+    n_cobs = _distinct_rows(_coboundary_values(module, degree - 1, lower))
     require(n_cocycles % n_cobs == 0)
     return n_cocycles // n_cobs
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,8 +104,12 @@ class FiniteGroup:
             isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
         )
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.table.tobytes())     # the table is read-only
+
     def __hash__(self) -> int:
-        return hash(self.table.tobytes())
+        return self._hash
 
     def __repr__(self) -> str:
         label = self.name or "group"

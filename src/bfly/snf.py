@@ -2,10 +2,12 @@
 
 Results are dtype=object arrays of Python integers, so callers never see
 overflow.  The elimination itself runs in int64 machine words while a
-bound on each update shows it cannot overflow, and widens to Python
-integers for the rest of the elimination when the bound fails, so its
-output is exact at any size.  Matrix sizes in this library stay in the
-low hundreds.
+running bound on each array shows no update can overflow, and widens to
+Python integers for the rest of the elimination when the bound fails, so
+its output is exact at any size.  Each pivot's sweeps touch only the rows
+and columns whose cross entry is nonzero, and a caller names the
+transforms it reads, so the work follows the nonzeros of the sparse
+coboundary matrices this library factors (a few hundred rows at most).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import require
 
 _WORD_BOUND = 1 << 62   # int64 entries stay below this, one bit to spare
 _WIDE_INPUT = 1 << 31   # inputs with entries this large start as Python ints
+_TRANSFORMS = "u v uinv vinv"
 
 
 def _obj(a) -> np.ndarray:
@@ -32,14 +35,15 @@ class SmithDecomposition:
     """U @ A @ V = S with U, V unimodular and S diagonal.
 
     ``uinv`` and ``vinv`` are the inverses of U and V; diagonal entries
-    of S are nonnegative and satisfy the divisibility chain.
+    of S are nonnegative and satisfy the divisibility chain.  A transform
+    the caller did not ask ``smith_normal_form`` to track is None.
     """
 
-    u: np.ndarray
+    u: np.ndarray | None
     s: np.ndarray
-    v: np.ndarray
-    uinv: np.ndarray
-    vinv: np.ndarray
+    v: np.ndarray | None
+    uinv: np.ndarray | None
+    vinv: np.ndarray | None
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -51,86 +55,147 @@ def _absmax(x: np.ndarray) -> int:
     return int(np.abs(x).max()) if x.size else 0
 
 
-def _fits(qmax: int, *updates) -> bool:
-    """Whether each dst += q (x) src, k terms per entry, stays in bound."""
-    return all(
-        k * qmax * _absmax(src) + _absmax(dst) < _WORD_BOUND
-        for src, dst, k in updates
-    )
+def _grown(bound: int, qmax: int, k: int) -> int:
+    """A bound on |x| after x_i += q_1 x_j1 + ... + q_k x_jk in one array.
+
+    ``bound`` bounds |x| before the update and |q| <= qmax.
+    """
+    return bound * (1 + k * qmax)
 
 
-def _smallest(a: np.ndarray) -> int:
-    """Row-major index of the first entry of least nonzero size, or -1."""
+def _smallest(a: np.ndarray, g) -> int:
+    """Row-major index of the first entry of least nonzero size, or -1.
+
+    g divides every entry, so an entry of size g, if any, is least.
+    """
     mag = np.abs(a).ravel()
-    nonzero = np.flatnonzero(mag)
-    return int(nonzero[np.argmin(mag[nonzero])]) if nonzero.size else -1
+    if not mag.size:
+        return -1
+    first = int((mag == g).argmax())
+    if mag[first] == g:
+        return first
+    nonzero = mag.nonzero()[0]
+    return int(nonzero[mag[nonzero].argmin()]) if nonzero.size else -1
 
 
-def smith_normal_form(a) -> SmithDecomposition:
+_ROWS, _COLS = ("u", "uinv"), ("v", "vinv")
+
+
+def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
     """Textbook elimination (Cohen, GTM 138, §2.4.4) with exact output.
 
-    Each pivot's row sweep and column sweep is one rank-1 update, since the
-    pivot row (column) does not change during its sweep.  The five arrays
-    are int64 while every update provably stays below 2**62 and are widened
-    to Python ints, once, before the first update that might not.
+    ``track`` names the transforms to compute, from "u v uinv vinv"; the
+    others are None, and U, S, V, U^-1 and V^-1 are the same whichever
+    are tracked.  Each pivot's row sweep and column sweep is one rank-1
+    update on the rows (columns) whose cross entry is nonzero, since the
+    pivot row (column) does not change during its sweep, and S changes
+    only inside the active block, whose complement is already zero.
+    Every entry of the active block is a multiple of the last pivot g, so
+    at a pivot of size g the sweeps clear the cross and leave only
+    multiples of it: neither the remainders nor divisibility is scanned.
+    The arrays are int64 while a running bound on each array shows that
+    every update stays below 2**62; when a bound would reach it, the
+    array's exact maximum replaces the bound, and if that fails too the
+    arrays are widened to Python ints, once, for the rest.
     """
     s = _obj(a)
-    s = s.astype(np.int64) if _absmax(s) < _WIDE_INPUT else s.copy()
+    smax = _absmax(s)
+    s = s.astype(np.int64) if smax < _WIDE_INPUT else s.copy()
     m, n = s.shape
-    u, uinv = np.eye(m, dtype=s.dtype), np.eye(m, dtype=s.dtype)
-    v, vinv = np.eye(n, dtype=s.dtype), np.eye(n, dtype=s.dtype)
+    # U and U^-1 follow the row operations on S, V and V^-1 the column
+    # operations.  V and U^-1 are held transposed, so that each pair
+    # follows with X[rows] += q (x) X[t] and Y[t] -= q @ Y[rows].
+    x = {name: np.eye(m if name in _ROWS else n, dtype=s.dtype) for name in track.split()}
+    # an upper bound on |entry| of each array
+    bound = {"s": smax} | dict.fromkeys(x, 1)
 
-    def widen_unless_fits(qmax: int, *updates) -> None:
-        nonlocal s, u, uinv, v, vinv
-        if s.dtype != object and not _fits(qmax, *updates):
-            s, u, uinv, v, vinv = (x.astype(object) for x in (s, u, uinv, v, vinv))
+    def room(qmax: int, *updates) -> None:
+        """Widen unless each (array name, k) update keeps its bound."""
+        nonlocal s
+        if s.dtype == object:
+            return
+        for name, k in updates:
+            if name not in bound:
+                continue
+            grown = _grown(bound[name], qmax, k)
+            if grown >= _WORD_BOUND:
+                grown = _grown(_absmax(x[name] if name in x else s), qmax, k)
+            if grown >= _WORD_BOUND:
+                s = s.astype(object)
+                for key in x:
+                    x[key] = x[key].astype(object)
+                return
+            bound[name] = grown
+
+    def follow(pair, rows, src: int, q) -> None:
+        fwd, inv = pair
+        if fwd in x:
+            x[fwd][rows] += q[:, None] * x[fwd][src]
+        if inv in x:
+            x[inv][src] -= q @ x[inv][rows]
+
+    def swap(pair, i: int, j: int) -> None:
+        for name in pair:
+            if name in x:
+                x[name][[i, j]] = x[name][[j, i]]
 
     def row_swap(i, j):
-        s[[i, j], :] = s[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-        uinv[:, [i, j]] = uinv[:, [j, i]]
+        if i != j:
+            s[[i, j], t:] = s[[j, i], t:]
+            swap(_ROWS, i, j)
 
     def col_swap(i, j):
-        s[:, [i, j]] = s[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-        vinv[[i, j], :] = vinv[[j, i], :]
+        if i != j:
+            s[t:, [i, j]] = s[t:, [j, i]]
+            swap(_COLS, i, j)
 
-    t = 0
+    def sweep_rows():
+        # row_i += q_i * row_t for every i > t with q_i != 0
+        q = -(s[t + 1:, t] // s[t, t])
+        rows = q.nonzero()[0]
+        if not rows.size:
+            return
+        q, rows = q[rows], rows + (t + 1)
+        cols = t + s[t, t:].nonzero()[0]
+        room(_absmax(q), ("s", 1), ("u", 1), ("uinv", len(rows)))
+        q = q.astype(s.dtype, copy=False)
+        s[rows[:, None], cols] += q[:, None] * s[t, cols]
+        follow(_ROWS, rows, t, q)
+
+    def sweep_cols():
+        # col_j += q_j * col_t for every j > t with q_j != 0
+        q = -(s[t, t + 1:] // s[t, t])
+        cols = q.nonzero()[0]
+        if not cols.size:
+            return
+        q, cols = q[cols], cols + (t + 1)
+        rows = t + s[t:, t].nonzero()[0]
+        room(_absmax(q), ("s", 1), ("v", 1), ("vinv", len(cols)))
+        q = q.astype(s.dtype, copy=False)
+        s[rows[:, None], cols] += s[rows, t, None] * q
+        follow(_COLS, cols, t, q)
+
+    t, g = 0, 1     # g divides every entry of the active block s[t:, t:]
     while t < min(m, n):
         # a pivot of minimal absolute value in the remaining block
-        flat = _smallest(s[t:, t:])
+        flat = _smallest(s[t:, t:], g)
         if flat < 0:
             break
         i, j = divmod(flat, n - t)
         row_swap(t, t + i)
         col_swap(t, t + j)
         while True:
-            # row_i += q_i * row_t for every i > t
-            q = -(s[t + 1:, t] // s[t, t])
-            if q.any():
-                widen_unless_fits(_absmax(q), (s[t], s[t + 1:], 1),
-                                  (u[t], u[t + 1:], 1),
-                                  (uinv[:, t + 1:], uinv[:, t], len(q)))
-                q = q.astype(s.dtype, copy=False)
-                s[t + 1:] += np.outer(q, s[t])
-                u[t + 1:] += np.outer(q, u[t])
-                uinv[:, t] -= uinv[:, t + 1:] @ q
-            # col_j += q_j * col_t for every j > t
-            q = -(s[t, t + 1:] // s[t, t])
-            if q.any():
-                widen_unless_fits(_absmax(q), (s[:, t], s[:, t + 1:], 1),
-                                  (v[:, t], v[:, t + 1:], 1),
-                                  (vinv[t + 1:], vinv[t], len(q)))
-                q = q.astype(s.dtype, copy=False)
-                s[:, t + 1:] += np.outer(s[:, t], q)
-                v[:, t + 1:] += np.outer(v[:, t], q)
-                vinv[t] -= q @ vinv[t + 1:]
+            sweep_rows()
+            sweep_cols()
+            if abs(s[t, t]) == g:
+                # the cross held multiples of g, so it is clear now
+                break
             # the cross now holds the remainders mod the pivot
             if s[t + 1:, t].any() or s[t, t + 1:].any():
                 # pivot changed size; re-select minimal entry in the cross
                 old = abs(s[t, t])
-                i = t + _smallest(s[t:, t])
-                j = t + _smallest(s[t, t:])
+                i = t + _smallest(s[t:, t], g)
+                j = t + _smallest(s[t, t:], g)
                 if abs(s[t, j]) < abs(s[i, t]):
                     i = t
                 else:
@@ -141,30 +206,32 @@ def smith_normal_form(a) -> SmithDecomposition:
                 require(abs(s[t, t]) < old, "Smith pivot did not shrink")
                 continue
             # enforce divisibility against the rest of the block
-            offenders = np.flatnonzero((s[t + 1:, t + 1:] % s[t, t] != 0).any(axis=1))
+            offenders = (s[t + 1:, t + 1:] % s[t, t] != 0).any(axis=1).nonzero()[0]
             if not offenders.size:
                 break
             # row_t += row_o for the first row o holding a non-multiple
             o = t + 1 + int(offenders[0])
-            widen_unless_fits(1, (s[o], s[t], 1), (u[o], u[t], 1),
-                              (uinv[:, t], uinv[:, o], 1))
-            s[t] += s[o]
-            u[t] += u[o]
-            uinv[:, o] -= uinv[:, t]
+            room(1, ("s", 1), ("u", 1), ("uinv", 1))
+            s[t, t:] += s[o, t:]
+            follow(_ROWS, [t], o, np.ones(1, dtype=s.dtype))
         if s[t, t] < 0:
-            s[t] = -s[t]
-            u[t] = -u[t]
-            uinv[:, t] = -uinv[:, t]
-        t += 1
+            # the cross is clear, so row t holds only the pivot
+            s[t, t] = -s[t, t]
+            for name in _ROWS:
+                if name in x:
+                    x[name][t] = -x[name][t]
+        t, g = t + 1, s[t, t]
 
-    u, s, v, uinv, vinv = (x.astype(object) for x in (u, s, v, uinv, vinv))
-    return SmithDecomposition(u=u, s=s, v=v, uinv=uinv, vinv=vinv)
+    out = dict.fromkeys(_TRANSFORMS.split())
+    for name, held in x.items():
+        out[name] = held.T.astype(object) if name in ("v", "uinv") else held.astype(object)
+    return SmithDecomposition(s=s.astype(object), **out)
 
 
 def integer_kernel(a) -> np.ndarray:
     """Basis (columns) of {x : A x = 0} over the integers."""
     arr = _obj(a)
-    dec = smith_normal_form(arr)
+    dec = smith_normal_form(arr, "v")
     n = arr.shape[1]
     k = min(arr.shape)
     cols = [j for j in range(n) if j >= k or dec.s[j, j] == 0]
@@ -183,7 +250,7 @@ def solve_integer(a, b, dec: SmithDecomposition | None = None):
     rhs = np.array(b, dtype=object)
     columns = rhs if rhs.ndim > 1 else rhs[:, None]
     if dec is None:
-        dec = smith_normal_form(arr)
+        dec = smith_normal_form(arr, "u v")
     c = dec.u @ columns
     m, n = arr.shape
     k = min(m, n)
@@ -203,7 +270,7 @@ def solve_integer(a, b, dec: SmithDecomposition | None = None):
 def column_lattice_basis(a) -> np.ndarray:
     """A full set of independent generators for the column span of A."""
     arr = _obj(a)
-    dec = smith_normal_form(arr)
+    dec = smith_normal_form(arr, "uinv")
     m = arr.shape[0]
     k = min(arr.shape)
     # columns of Uinv scaled by the invariant factors span the lattice

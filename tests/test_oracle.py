@@ -71,6 +71,37 @@ def test_solver_matches_brute_force(z2_z2_triv, z3_z3_triv, z2_z3_inv, z4):
     assert cohomology(z2_z2_triv, 3).order == cohomology_brute(z2_z2_triv, 3)
 
 
+def test_cohomology_cache_is_keyed_by_value():
+    """Equal modules built apart hash alike and share one cached group."""
+    a = trivial_module(cyclic_group(2), cyclic_group(3))
+    b = trivial_module(cyclic_group(2), cyclic_group(3))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert cohomology(a, 2) is cohomology(b, 2)
+
+
+def test_brute_force_does_not_import_numpy_ma():
+    """Counting distinct coboundaries must not load numpy.ma (its import
+    alone costs about 1.3 MB of peak RSS)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from bfly.catalog import standard_modules\n"
+        "from bfly.cohomology import cohomology_brute\n"
+        "m = dict(standard_modules())['Z2-Z2-a0']\n"
+        "print([cohomology_brute(m, d) for d in (1, 2, 3)])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cohomology_brute.__code__.co_filename).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[2, 2, 2]", "False"]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=4, max_size=4))
 def test_coboundary_squares_to_zero(z3_z3_triv, vals):

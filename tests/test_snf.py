@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bfly.snf import (
     SmithDecomposition,
-    _fits,
+    _WORD_BOUND,
+    _grown,
     _obj,
     column_lattice_basis,
     in_column_lattice,
@@ -239,6 +240,51 @@ def test_snf_matches_cell_by_cell_elimination(a):
     _assert_same(smith_normal_form(a), reference_snf(a))
 
 
+# the subsets the library asks for, each transform alone, and S alone
+PARTIAL_TRACKS = ["v", "uinv", "u v", "u uinv", "u", "vinv", ""]
+
+
+def _assert_tracked(a, ref: SmithDecomposition) -> None:
+    """Every partially tracked call gives S and its transforms bit for bit."""
+    for track in PARTIAL_TRACKS:
+        dec = smith_normal_form(a, track)
+        for name in ("u", "s", "v", "uinv", "vinv"):
+            got, want = getattr(dec, name), getattr(ref, name)
+            if name != "s" and name not in track.split():
+                assert got is None, (track, name)
+                continue
+            assert got.dtype == object and got.shape == want.shape, (track, name)
+            assert np.array_equal(got, want), (track, name)
+            assert all(type(x) is int for x in got.flat), (track, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_identity_inputs)
+def test_partial_tracking_matches_cell_by_cell_elimination(a):
+    _assert_tracked(a, reference_snf(a))
+
+
+def test_divisibility_step_at_a_non_unit_pivot():
+    """diag(2, 3): the cross is clear at pivot 2, but 3 is no multiple of it,
+    so row 0 takes row 1 and the pivot shrinks to 1."""
+    a = np.array([[2, 0], [0, 3]], dtype=object)
+    ref = reference_snf(a)
+    assert ref.invariant_factors == (1, 6)
+    _assert_same(smith_normal_form(a), ref)
+    _assert_tracked(a, ref)
+
+
+def test_partially_tracked_call_widens_part_way():
+    """The same matrix as below; each partial call widens mid-run."""
+    a = np.array(
+        [[2**31 - 1, 2**30 + 7, 3], [5, 2**31 - 3, 2**29], [2**30, 11, 2**31 - 5]],
+        dtype=object,
+    )
+    ref = reference_snf(a)
+    assert ref.s[2, 2] >= 2**62
+    _assert_tracked(a, ref)
+
+
 def test_snf_widens_part_way_and_stays_exact():
     """Entries below 2**31 start in int64; the determinant is near 2**92."""
     a = np.array(
@@ -253,9 +299,9 @@ def test_snf_widens_part_way_and_stays_exact():
 
 def test_word_bound_counts_every_term_of_a_product():
     """A matrix-vector product adds len(q) terms into each entry."""
-    src, dst = np.full((3, 4), 2**30, dtype=np.int64), np.zeros(3, dtype=np.int64)
-    assert _fits(2**31, (src, dst, 1))
-    assert not _fits(2**31, (src, dst, 4))
+    assert _grown(2**30, 2**31, 1) < _WORD_BOUND
+    assert _grown(2**30, 2**31, 4) >= _WORD_BOUND
+    assert _grown(5, 2, 3) == 5 + 3 * 2 * 5
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (3, 4)])
@@ -289,3 +335,34 @@ def test_classify_matches_solving_against_the_adapted_basis():
         ]
         for group, f in cocycles:
             assert group.classify(f).coords == direct(group, f)
+
+
+def test_cohomology_pipeline_matches_reference_elimination(monkeypatch):
+    """Every group cohomology() makes for the standard modules, in degrees
+    1..3, is the same when the cell-by-cell elimination replaces the SNF."""
+    import bfly.cohomology as coh
+    import bfly.snf as snf
+    from bfly.catalog import standard_modules
+
+    modules = [m for _, m in standard_modules()]
+
+    def groups():
+        monkeypatch.setattr(coh, "_COHOM_CACHE", {})
+        return [coh.cohomology(m, d) for m in modules for d in (1, 2, 3)]
+
+    fast = groups()
+
+    def reference(a, track="", /):
+        return reference_snf(a)
+
+    monkeypatch.setattr(snf, "smith_normal_form", reference)
+    monkeypatch.setattr(coh, "smith_normal_form", reference)
+    slow = groups()
+    assert len(fast) == len(slow) == 66
+    for got, want in zip(fast, slow):
+        assert got is not want
+        assert got.factors == want.factors and got._sdiag == want._sdiag
+        assert np.array_equal(got._basis, want._basis)
+        for name in ("u", "s", "v"):
+            assert np.array_equal(getattr(got._basis_snf, name),
+                                  getattr(want._basis_snf, name)), name
