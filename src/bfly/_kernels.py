@@ -14,31 +14,36 @@ import numpy as np
 _CHUNK_CELLS = 1 << 18  # bound on the entries of one comparison block
 
 
-def _magma_generators(table: np.ndarray) -> list[int]:
-    """Greedy generating set of the magma: least element outside the closure.
+def grow_closure(table: np.ndarray, closed: np.ndarray, new) -> np.ndarray:
+    """Close the boolean mask ``closed`` under the table's operation, in place.
 
-    The closure is taken under the table's own operation only (no inverses),
-    so it is valid before the table is known to be a group.  Each element
-    enters the closure once and is multiplied by the closure on both sides,
-    so the whole pass costs O(n^2).
+    ``new`` lists the elements that join the mask; the mask without them
+    must already be closed.  Only the operation is used (no identity or
+    inverses), so this is valid before the table is known to be a group; in
+    a finite group the closure of a nonempty set is the subgroup it
+    generates.  Each element joins once and is multiplied by the closure on
+    both sides, so growing a mask to all n elements costs O(n^2).
     """
-    n = table.shape[0]
-    closed = np.zeros(n, dtype=bool)
+    new = np.asarray(new, dtype=np.int64)
+    closed[new] = True
+    while new.size:
+        members = np.flatnonzero(closed)
+        fresh = np.zeros(len(closed), dtype=bool)
+        fresh[table[np.ix_(new, members)]] = True
+        fresh[table[np.ix_(members, new)]] = True
+        fresh &= ~closed
+        closed |= fresh
+        new = np.flatnonzero(fresh)
+    return closed
+
+
+def _magma_generators(table: np.ndarray) -> list[int]:
+    """Greedy generating set of the magma: least element outside the closure."""
+    closed = np.zeros(table.shape[0], dtype=bool)
     gens: list[int] = []
-    for a in range(n):
-        if closed[a]:
-            continue
-        gens.append(a)
-        closed[a] = True
-        new = np.asarray([a])
-        while new.size:
-            members = np.flatnonzero(closed)
-            fresh = np.zeros(n, dtype=bool)
-            fresh[table[np.ix_(new, members)]] = True
-            fresh[table[np.ix_(members, new)]] = True
-            fresh &= ~closed
-            closed |= fresh
-            new = np.flatnonzero(fresh)
+    while not closed.all():
+        gens.append(int(np.argmin(closed)))
+        grow_closure(table, closed, gens[-1:])
     return gens
 
 

@@ -30,8 +30,11 @@ from .crossed import build_crossed_module, identity_crossed_module
 from .extensions import AbelianExtension, unit_extension
 from .groups import (
     FiniteGroup,
+    _group,
+    all_homs,
     build_group,
     build_hom,
+    find_isomorphisms,
     zero_hom,
 )
 
@@ -56,36 +59,16 @@ def standard_groups() -> dict[str, FiniteGroup]:
 
 def automorphism_permutations(b: FiniteGroup) -> list[np.ndarray]:
     """All automorphisms of b as permutation arrays, sorted."""
-    from .groups import find_isomorphisms
-
     return [f.map for f in find_isomorphisms(b, b)]
 
 
 def all_actions(c: FiniteGroup, b: FiniteGroup) -> list[GroupAction]:
     """Every action of c on b by automorphisms, in deterministic order."""
-    perms = automorphism_permutations(b)
-    key = {p.tobytes(): i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = key[p[q].tobytes()]
-    idx = int(np.nonzero([np.array_equal(p, np.arange(b.order)) for p in perms])[0][0])
-    # relabel so the identity automorphism is index 0
-    order_map = [idx] + [i for i in range(n) if i != idx]
-    inv_order = {orig: new for new, orig in enumerate(order_map)}
-    aut_table = [
-        [inv_order[int(table[order_map[i], order_map[j]])] for j in range(n)]
-        for i in range(n)
-    ]
-    aut = build_group(aut_table, name=f"Aut({b.name})")
-    from .groups import all_homs
-
-    out = []
-    for h in all_homs(c, aut):
-        act = np.stack([perms[order_map[h(g)]] for g in c.elements()])
-        out.append(build_action(c, b, act))
-    return out
+    perms = np.stack(automorphism_permutations(b))
+    # sorted permutations have increasing base-|B| codes; the identity is the least
+    radix = np.asarray([b.order ** k for k in range(b.order - 1, -1, -1)], dtype=object)
+    aut = _group(np.searchsorted(perms @ radix, perms[:, perms] @ radix), f"Aut({b.name})")
+    return [build_action(c, b, perms[h.map]) for h in all_homs(c, aut)]
 
 
 def standard_modules() -> list[tuple[str, CModule]]:

@@ -15,9 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _kernels
 from .actions import CModule
 from .errors import LawViolation, NotACocycle, SizeCap, require
-from .groups import FiniteGroup, _group, direct_product, find_isomorphisms
+from .groups import FiniteGroup, _group, direct_product
 from .snf import (
     SmithDecomposition,
     column_lattice_basis,
@@ -33,25 +34,6 @@ _SOLVER_UNKNOWN_CAP = 4096
 def cyclic_group(n: int, name: str = "") -> FiniteGroup:
     table = np.add.outer(np.arange(n), np.arange(n)) % n
     return _group(table, name or f"Z{n}")
-
-
-def _divisor_chains(n: int) -> list[tuple[int, ...]]:
-    """All chains d1 | d2 | ... | dk with product n and di >= 2."""
-    if n == 1:
-        return [()]
-    chains = []
-
-    def rec(remaining: int, prefix: tuple[int, ...]):
-        if remaining == 1:
-            chains.append(prefix)
-            return
-        start = prefix[-1] if prefix else 2
-        for d in range(start, remaining + 1):
-            if remaining % d == 0 and (not prefix or d % prefix[-1] == 0):
-                rec(remaining // d, prefix + (d,))
-
-    rec(n, ())
-    return chains
 
 
 @dataclass(frozen=True)
@@ -73,22 +55,38 @@ def _mixed_radix_group(factors: tuple[int, ...]) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def _decompose_cached(table_bytes: bytes, order: int) -> CyclicDecomposition:
+    """Split off cyclic summands of B, the largest first.
+
+    Each step takes the least x of greatest order among the elements whose
+    cyclic group meets the span of the earlier ones only in 0 (its first
+    multiple in the span is ord(x) x).  An element of greatest order in
+    B/span generates a direct summand, so every choice extends to an
+    isomorphism, and the result is the lexicographically least isomorphism
+    Z_{d1} x ... x Z_{dk} -> B (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, on finite abelian groups).
+    """
     table = np.frombuffer(table_bytes, dtype=np.int64).reshape(order, order)
-    b = _group(table)
-    for chain in _divisor_chains(order):
-        model = _mixed_radix_group(chain)
-        isos = find_isomorphisms(model, b, limit=1)
-        if isos:
-            iso = isos[0]
-            coords = list(itertools.product(*[range(d) for d in chain]))
-            to_vec = np.zeros((order, max(1, len(chain))), dtype=np.int64)
-            from_vec = {}
-            for i, c in enumerate(coords):
-                elem = iso(i)
-                to_vec[elem, : len(chain)] = c
-                from_vec[c] = elem
-            return CyclicDecomposition(chain, to_vec, from_vec)
-    raise LawViolation("no cyclic decomposition found (group not abelian?)")
+    if not np.array_equal(table, table.T):
+        raise LawViolation("no cyclic decomposition found (group not abelian?)")
+    multiples = [np.zeros(order, dtype=np.int64), np.arange(order)]
+    while multiples[-1].any():
+        multiples.append(table[multiples[-1], multiples[1]])
+    multiples = np.stack(multiples)                 # [m, x] = m x, m up to the exponent
+    orders = np.argmax(multiples[1:] == 0, axis=0) + 1
+    span = np.arange(order) == 0
+    factors, gens = (), ()
+    while not span.all():
+        first = np.argmax(span[multiples[1:]], axis=0) + 1
+        x = int(np.argmax(np.where(first == orders, orders, 0)))
+        factors, gens = (int(orders[x]),) + factors, (x,) + gens
+        _kernels.grow_closure(table, span, [x])
+    elems = np.zeros(1, dtype=np.int64)
+    for d, x in zip(factors, gens):                 # mixed radix, last factor fastest
+        elems = table[elems[:, None], multiples[:d, x]].ravel()
+    coords = list(itertools.product(*[range(d) for d in factors]))
+    to_vec = np.zeros((order, max(1, len(factors))), dtype=np.int64)
+    to_vec[elems, : len(factors)] = coords
+    return CyclicDecomposition(factors, to_vec, dict(zip(coords, elems.tolist())))
 
 
 def cyclic_decomposition(b: FiniteGroup) -> CyclicDecomposition:

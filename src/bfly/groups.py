@@ -277,23 +277,9 @@ class Subgroup:
 
 
 def close_under_group(g: FiniteGroup, seed) -> tuple[int, ...]:
-    """Smallest subset containing seed, 0, closed under + and inverse."""
-    elems = {0}
-    frontier = list(dict.fromkeys(seed))
-    for a in frontier:
-        elems.add(int(a))
-        elems.add(g.neg(int(a)))
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(elems)
-        for a in current:
-            for b in current:
-                c = g.add(a, b)
-                if c not in elems:
-                    elems.add(c)
-                    changed = True
-    return tuple(sorted(elems))
+    """Smallest subgroup containing seed."""
+    closed = _kernels.grow_closure(g.table, np.zeros(g.order, dtype=bool), [0, *seed])
+    return tuple(np.flatnonzero(closed).tolist())
 
 
 def subgroup_from_elements(parent: FiniteGroup, elements) -> Subgroup:
@@ -321,21 +307,14 @@ def kernel(f: GroupHom) -> Subgroup:
 
 
 def normal_closure(g: FiniteGroup, seed) -> tuple[int, ...]:
-    """Smallest normal subgroup containing seed."""
-    elems = set(close_under_group(g, seed))
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(elems):
-            for h in g.elements():
-                c = g.conj(h, x)
-                if c not in elems:
-                    elems.update(close_under_group(g, sorted(elems) + [c]))
-                    changed = True
-                    break
-            if changed:
-                break
-    return tuple(sorted(elems))
+    """Smallest normal subgroup containing seed: close, add conjugates, repeat."""
+    closed = np.zeros(g.order, dtype=bool)
+    new = [0, *seed]
+    while len(new):
+        _kernels.grow_closure(g.table, closed, new)
+        members = np.flatnonzero(closed)
+        new = np.setdiff1d(g.conjugates(members), members)
+    return tuple(np.flatnonzero(closed).tolist())
 
 
 def _membership(g: FiniteGroup, elements) -> np.ndarray:
@@ -494,41 +473,33 @@ def is_short_exact(kappa: GroupHom, gamma: GroupHom) -> bool:
 # --- homomorphism searches ------------------------------------------------
 
 
-def generating_sequence(g: FiniteGroup) -> tuple[int, ...]:
-    """Greedy generating set scanned in increasing index order."""
-    gens: list[int] = []
-    closed = {0}
-    for a in g.elements():
-        if a not in closed:
-            gens.append(a)
-            closed = set(close_under_group(g, gens))
-    return tuple(gens)
-
-
 def all_homs(g: FiniteGroup, h: FiniteGroup, limit: int | None = None) -> list[GroupHom]:
     """All homomorphisms G -> H, sorted lexicographically by value table.
 
     Candidates are the rows of one array, -1 where a value is not yet known.
-    Generators are added one at a time, each sent to every element of H
-    whose order divides its own.  The subgroup generated so far is then
-    walked breadth first from the known elements: a new element a + g_k
+    Generators are added one at a time, each the least element outside the
+    subgroup generated so far, and each sent to every element of H whose
+    order divides its own.  The subgroup generated so far is then walked
+    breadth first from the known elements: a new element a + g_k
     takes its column in one gather, and an edge a + g_k that lands on a
     known element drops the rows where the two values disagree.  A row
     that survives every edge of the Cayley graph is a homomorphism; the
     survivors are still checked against the definition.
     """
-    gens = generating_sequence(g)
     h_orders = np.asarray([h.element_order(x) for x in h.elements()])
     rows = np.full((1, g.order), -1, dtype=np.int64)
     rows[:, 0] = 0
     known = np.zeros(g.order, dtype=bool)
     known[0] = True
-    for i, gen in enumerate(gens):
+    gens: list[int] = []
+    while not known.all():
+        gen = int(np.argmin(known))
+        gens.append(gen)
         images = np.flatnonzero(g.element_order(gen) % h_orders == 0)
         rows = np.repeat(rows, len(images), axis=0)
         rows[:, gen] = np.tile(images, len(rows) // len(images))
         known[gen] = True
-        cols = np.asarray(gens[:i + 1])
+        cols = np.asarray(gens)
         frontier = np.flatnonzero(known)
         while frontier.size:
             targets = g.table[np.ix_(frontier, cols)].ravel()      # a + g_k

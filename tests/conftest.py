@@ -26,6 +26,14 @@ def s3_table() -> np.ndarray:
     return table
 
 
+def relabelled(g, seed):
+    """g with its non-identity elements permuted: the same group, another table."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.order - 1)])
+    table = np.empty_like(g.table)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    return build_group(table)
+
+
 @pytest.fixture(scope="session")
 def z2():
     return cyclic_group(2)

@@ -22,6 +22,7 @@ from bfly.butterflies import (
     tensor_xext_with_data,
     unit_xext,
 )
+from bfly.cohomology import CyclicDecomposition, _mixed_radix_group
 from bfly.crossed import CrossedModule, InternalGroupoid, build_crossed_module
 from bfly.errors import (
     ActionNotWellDefined,
@@ -30,6 +31,7 @@ from bfly.errors import (
     CooperatorFails,
     DomainMismatch,
     ImagesDoNotCommute,
+    LawViolation,
     ModuleMismatch,
     NotCentral,
     NotEquivariant,
@@ -41,6 +43,7 @@ from bfly.errors import (
     require,
 )
 from bfly.groups import (
+    FiniteGroup,
     GroupHom,
     _group,
     _hom,
@@ -48,7 +51,7 @@ from bfly.groups import (
     build_hom,
     compose,
     direct_product,
-    generating_sequence,
+    find_isomorphisms,
     identity_hom,
     is_normal,
     is_short_exact,
@@ -96,9 +99,86 @@ def _extend_by_generators(g, h, gens, images):
     return m
 
 
+def ref_magma_generators(table: np.ndarray) -> list[int]:
+    """Greedy generating set of the magma: least element outside the closure.
+
+    The closure is taken under the table's own operation only (no inverses),
+    so it is valid before the table is known to be a group.  Each element
+    enters the closure once and is multiplied by the closure on both sides,
+    so the whole pass costs O(n^2).
+    """
+    n = table.shape[0]
+    closed = np.zeros(n, dtype=bool)
+    gens: list[int] = []
+    for a in range(n):
+        if closed[a]:
+            continue
+        gens.append(a)
+        closed[a] = True
+        new = np.asarray([a])
+        while new.size:
+            members = np.flatnonzero(closed)
+            fresh = np.zeros(n, dtype=bool)
+            fresh[table[np.ix_(new, members)]] = True
+            fresh[table[np.ix_(members, new)]] = True
+            fresh &= ~closed
+            closed |= fresh
+            new = np.flatnonzero(fresh)
+    return gens
+
+
+def ref_close_under_group(g: FiniteGroup, seed) -> tuple[int, ...]:
+    """Smallest subset containing seed, 0, closed under + and inverse."""
+    elems = {0}
+    frontier = list(dict.fromkeys(seed))
+    for a in frontier:
+        elems.add(int(a))
+        elems.add(g.neg(int(a)))
+    changed = True
+    while changed:
+        changed = False
+        current = sorted(elems)
+        for a in current:
+            for b in current:
+                c = g.add(a, b)
+                if c not in elems:
+                    elems.add(c)
+                    changed = True
+    return tuple(sorted(elems))
+
+
+def ref_normal_closure(g: FiniteGroup, seed) -> tuple[int, ...]:
+    """Smallest normal subgroup containing seed."""
+    elems = set(ref_close_under_group(g, seed))
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(elems):
+            for h in g.elements():
+                c = g.conj(h, x)
+                if c not in elems:
+                    elems.update(ref_close_under_group(g, sorted(elems) + [c]))
+                    changed = True
+                    break
+            if changed:
+                break
+    return tuple(sorted(elems))
+
+
+def ref_generating_sequence(g: FiniteGroup) -> tuple[int, ...]:
+    """Greedy generating set scanned in increasing index order."""
+    gens: list[int] = []
+    closed = {0}
+    for a in g.elements():
+        if a not in closed:
+            gens.append(a)
+            closed = set(ref_close_under_group(g, gens))
+    return tuple(gens)
+
+
 def ref_all_homs(g, h, limit=None):
     """All homomorphisms G -> H, sorted lexicographically by value table."""
-    gens = generating_sequence(g)
+    gens = ref_generating_sequence(g)
     if not gens:
         return [zero_hom(g, h)]
     orders = [g.element_order(a) for a in gens]
@@ -127,6 +207,45 @@ def ref_find_isomorphisms(g, h, limit=None):
     if limit is not None:
         isos = isos[:limit]
     return isos
+
+
+def ref_divisor_chains(n: int) -> list[tuple[int, ...]]:
+    """All chains d1 | d2 | ... | dk with product n and di >= 2."""
+    if n == 1:
+        return [()]
+    chains = []
+
+    def rec(remaining: int, prefix: tuple[int, ...]):
+        if remaining == 1:
+            chains.append(prefix)
+            return
+        start = prefix[-1] if prefix else 2
+        for d in range(start, remaining + 1):
+            if remaining % d == 0 and (not prefix or d % prefix[-1] == 0):
+                rec(remaining // d, prefix + (d,))
+
+    rec(n, ())
+    return chains
+
+
+def ref_decompose(table_bytes: bytes, order: int) -> CyclicDecomposition:
+    """Cyclic decomposition by trying every divisor chain (uncached here)."""
+    table = np.frombuffer(table_bytes, dtype=np.int64).reshape(order, order)
+    b = _group(table)
+    for chain in ref_divisor_chains(order):
+        model = _mixed_radix_group(chain)
+        isos = find_isomorphisms(model, b, limit=1)
+        if isos:
+            iso = isos[0]
+            coords = list(itertools.product(*[range(d) for d in chain]))
+            to_vec = np.zeros((order, max(1, len(chain))), dtype=np.int64)
+            from_vec = {}
+            for i, c in enumerate(coords):
+                elem = iso(i)
+                to_vec[elem, : len(chain)] = c
+                from_vec[c] = elem
+            return CyclicDecomposition(chain, to_vec, from_vec)
+    raise LawViolation("no cyclic decomposition found (group not abelian?)")
 
 
 def ref_cmodule_morphism(dom, cod, hom):

@@ -20,6 +20,7 @@ from bfly.groups import (
     all_homs,
     build_group,
     build_hom,
+    close_under_group,
     cokernel,
     compose,
     cooperator,
@@ -28,6 +29,7 @@ from bfly.groups import (
     identity_hom,
     is_short_exact,
     kernel,
+    normal_closure,
     order_cap,
     pullback,
     quotient_by,
@@ -37,7 +39,7 @@ from bfly.groups import (
 )
 from bfly.actions import build_action
 
-from conftest import s3_table
+from conftest import relabelled, s3_table
 
 
 def test_cyclic_table_is_a_group(z4):
@@ -225,6 +227,18 @@ def test_light_test_agrees_with_brute_scan(s3):
             _assert_light_agrees(np.asarray(digits, dtype=np.int64).reshape(order, order))
 
 
+def test_magma_generators_match_the_loop(s3):
+    """The greedy generating set of Light's test against the parent's loop."""
+    from bfly import _kernels
+    from reference_loops import ref_magma_generators
+
+    rng = np.random.default_rng(3)
+    tables = [g.table for g in (s3, relabelled(direct_product(s3, s3).group, 2))]
+    tables += [rng.integers(0, n, size=(n, n)) for n in (2, 3, 4, 5, 6) for _ in range(60)]
+    for table in tables:
+        assert _kernels._magma_generators(table) == ref_magma_generators(table), table.tolist()
+
+
 def test_hom_scan_matches_pointwise_check():
     from bfly import _kernels
 
@@ -404,14 +418,6 @@ def test_identity_and_composition(z4, z2):
     assert compose(identity_hom(z2), f) == f
 
 
-def _relabelled(g, seed):
-    """g with its non-identity elements permuted: the same group, another table."""
-    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.order - 1)])
-    table = np.empty_like(g.table)
-    table[np.ix_(perm, perm)] = perm[g.table]
-    return build_group(table)
-
-
 def _search_groups(s3):
     from bfly.catalog import klein_group, trivial_group
 
@@ -424,7 +430,7 @@ def _search_groups(s3):
         "Z4xZ4": direct_product(z4, z4).group,
     }
     for seed, name in enumerate(("S3", "Z8", "Z2xZ4", "Z2^3", "Z4xZ4")):
-        groups[f"{name}'"] = _relabelled(groups[name], seed)
+        groups[f"{name}'"] = relabelled(groups[name], seed)
     return groups
 
 
@@ -441,6 +447,23 @@ def test_hom_searches_match_the_generator_loop(s3):
             isos = [f.map.tolist() for f in find_isomorphisms(g, h)]
             assert isos == [f.map.tolist() for f in ref_find_isomorphisms(g, h)], (gn, hn)
             assert [f.map.tolist() for f in find_isomorphisms(g, h, limit=1)] == isos[:1]
+
+
+def test_closures_match_the_fixed_point_loops(s3):
+    """close_under_group and normal_closure against the parent's loops."""
+    from reference_loops import ref_close_under_group, ref_normal_closure
+
+    groups = _search_groups(s3)
+    s3xs3 = direct_product(s3, s3).group
+    groups.update({"S3xS3": s3xs3, "S3xS3'": relabelled(s3xs3, 5),
+                   "Z8xZ8": direct_product(cyclic_group(8), cyclic_group(8)).group})
+    rng = np.random.default_rng(0)
+    for name, g in groups.items():
+        seeds = [(), (0,), tuple(range(g.order))]
+        seeds += [tuple(rng.integers(0, g.order, size=k).tolist()) for k in (1, 1, 2, 2, 3)]
+        for seed in seeds:
+            assert close_under_group(g, seed) == ref_close_under_group(g, seed), (name, seed)
+            assert normal_closure(g, seed) == ref_normal_closure(g, seed), (name, seed)
 
 
 def test_quotients_and_cooperators_match_the_loops(s3):

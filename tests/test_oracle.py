@@ -24,6 +24,8 @@ from bfly.cohomology import (
     Cochain,
     Z1Result,
     _coboundary_matrix,
+    _decompose_cached,
+    _mixed_radix_group,
     _nonzero_tuples,
     add_cochains,
     build_cochain,
@@ -49,6 +51,8 @@ from bfly.groups import (
     zero_hom,
 )
 
+from conftest import relabelled
+
 
 def test_h2_h3_ground_truth(z2_z2_triv, z3_z3_triv, z2_z3_inv):
     assert cohomology(z2_z2_triv, 2).order == 2
@@ -69,6 +73,66 @@ def test_solver_matches_brute_force(z2_z2_triv, z3_z3_triv, z2_z3_inv, z4):
         for degree in (1, 2):
             assert cohomology(m, degree).order == cohomology_brute(m, degree)
     assert cohomology(z2_z2_triv, 3).order == cohomology_brute(z2_z2_triv, 3)
+
+
+# every abelian group of order <= 24, as a product of its primary factors
+_ABELIAN_TYPES = [
+    (), (2,), (3,), (4,), (2, 2), (5,), (2, 3), (7,), (8,), (2, 4), (2, 2, 2),
+    (9,), (3, 3), (2, 5), (11,), (4, 3), (2, 2, 3), (13,), (2, 7), (3, 5),
+    (16,), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2), (17,), (2, 9), (2, 3, 3),
+    (19,), (4, 5), (2, 2, 5), (3, 7), (2, 11), (23,), (8, 3), (2, 4, 3),
+    (2, 2, 2, 3),
+]
+
+
+def test_decomposition_matches_the_divisor_chain_search(s3):
+    """The greedy splitting picks the isomorphism the chain search found."""
+    from reference_loops import ref_decompose
+
+    for primary in _ABELIAN_TYPES:
+        g = _mixed_radix_group(primary)
+        for b in [g] + [relabelled(g, seed) for seed in range(3)]:
+            got = _decompose_cached(b.table.tobytes(), b.order)
+            want = ref_decompose(b.table.tobytes(), b.order)
+            assert got.factors == want.factors, primary
+            assert got.to_vec.dtype == want.to_vec.dtype, primary
+            assert np.array_equal(got.to_vec, want.to_vec), primary
+            assert list(got.from_vec.items()) == list(want.from_vec.items()), primary
+    for decompose in (_decompose_cached, ref_decompose):
+        with pytest.raises(LawViolation) as err:
+            decompose(s3.table.tobytes(), s3.order)
+        assert str(err.value) == "no cyclic decomposition found (group not abelian?)"
+
+
+def test_decomposition_needs_no_hom_search(monkeypatch, tmp_path, capsys):
+    """Relabelled Z2^5 and Z2xZ4xZ4 split without listing Hom(model, B).
+
+    On Z2^5 that list has 32^5 rows of 32 values, about 8 GiB.
+    """
+    import json
+    import time
+
+    from bfly import cohomology as coh_module, groups
+    from bfly.cli import main
+    from bfly.serialize import save_document
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a homomorphism search was called")
+
+    for module in (groups, coh_module):
+        for name in ("find_isomorphisms", "all_homs"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    z2_5 = relabelled(_mixed_radix_group((2,) * 5), 11)
+    z2z4z4 = relabelled(_mixed_radix_group((2, 4, 4)), 12)
+    for b, factors in ((z2_5, (2,) * 5), (z2z4z4, (2, 4, 4))):
+        start = time.perf_counter()
+        assert cyclic_decomposition(b).factors == factors
+        assert time.perf_counter() - start < 0.1
+    doc = tmp_path / "z2-z2^5.cmodule.json"
+    save_document(doc, trivial_module(cyclic_group(2), z2_5))
+    code = main(["oracle", "cohomology", "--module", str(doc), "--degree", "3", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 32
 
 
 def test_cohomology_cache_is_keyed_by_value():
