@@ -52,7 +52,9 @@ from .groups import (
     GroupHom,
     ProductResult,
     PullbackResult,
+    _group,
     _hom,
+    _label_cosets,
     build_hom,
     compose,
     cooperator_sums,
@@ -195,27 +197,30 @@ def pushforward_xext(
 ) -> tuple[CrossedExtension, XExtMorphism]:
     """Cocartesian lift along beta: middle (B' x E2)/{(beta b, -j b)}.
 
-    The plain direct product suffices here because the kernel is central
-    in E2, so the identified subgroup is automatically normal.
+    The coset {(b' + beta b, x - j b)} is labeled by its least code
+    b' * |E2| + x, as in ``quotient_by``, but B' x E2 itself is never built.
+    The pairs (beta b, -j b) are central, as j(B) is (Brown, IV.3).
     """
     if beta.dom != e.module:
         raise ModuleMismatch("beta must start at the extension's module")
-    e2 = e.e2
-    prod = direct_product(beta.cod.coeff, e2)
-    n2 = e2.order
-    q_grp, proj = quotient_by(prod.group, beta.hom.map * n2 + e2.inv[e.j.map])
-    bnd_new = hom_from_cosets(proj, compose(e.xm.boundary, prod.proj2))
-    # g * (b, x) = (p(g) * b, g * x), read on every pair and then on its coset
-    moved = (beta.cod.action.act[e.p.map][:, prod.proj1.map] * n2
-             + e.xm.action.act[:, prod.proj2.map])
-    act = factor_through(proj.map, proj.map[moved], q_grp.order)
+    bp, e2, n2 = beta.cod.coeff, e.e2, e.e2.order
+    # [b', x, b] is the code of (b' + beta b, x - j b)
+    codes = bp.table[:, None, beta.hom.map] * n2 + e2.table[:, e2.inv[e.j.map]]
+    labels, proj = _label_cosets(codes.min(axis=2).ravel())
+    lb, lx = np.divmod(labels, n2)
+    q_grp = _group(proj[bp.table[lb[:, None], lb] * n2 + e2.table[lx[:, None], lx]])
+    # g * (b', x) = (p(g) * b', g * x), read on every pair and then on its coset
+    moved = (beta.cod.action.act[e.p.map][:, :, None] * n2
+             + e.xm.action.act[:, None, :]).reshape(e.e1.order, -1)
+    act = factor_through(proj, proj[moved], q_grp.order)
     if act is None:
         raise ActionNotWellDefined("pushforward action is not constant on cosets")
+    bnd_new = _hom(q_grp, e.e1, e.xm.boundary.map[lx])    # the boundary kills j(B)
     xm_new = build_crossed_module(bnd_new, build_action(e.e1, q_grp, act))
-    result = build_crossed_extension(compose(proj, prod.inj1), xm_new, e.p)
+    result = build_crossed_extension(_hom(bp, q_grp, proj[np.arange(bp.order) * n2]), xm_new, e.p)
     if result.module != beta.cod:
         raise ModuleMismatch("pushforward does not land in the target module")
-    lift = build_xext_morphism(e, result, beta, compose(proj, prod.inj2), identity_hom(e.e1))
+    lift = build_xext_morphism(e, result, beta, _hom(e2, q_grp, proj[:n2]), identity_hom(e.e1))
     return result, lift
 
 

@@ -10,7 +10,8 @@ on small systems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .actions import CModule
 from .errors import LawViolation, NotACocycle, SizeCap, require
-from .groups import FiniteGroup, _group, direct_product
+from .groups import FiniteGroup, _group
 from .snf import (
     SmithDecomposition,
     column_lattice_basis,
@@ -43,14 +44,6 @@ class CyclicDecomposition:
     factors: tuple[int, ...]
     to_vec: np.ndarray      # (|B|, k) coordinates of each element
     from_vec: dict          # tuple -> element index
-
-
-def _mixed_radix_group(factors: tuple[int, ...]) -> FiniteGroup:
-    """Z_{d1} x ... x Z_{dk}, coordinate tuples in lexicographic order."""
-    group = cyclic_group(1)
-    for d in factors:
-        group = direct_product(group, cyclic_group(d)).group
-    return group
 
 
 @lru_cache(maxsize=None)
@@ -258,17 +251,17 @@ class CohomologyGroup:
 
     module: CModule
     degree: int
-    group: FiniteGroup                  # product of the invariant factors
     factors: tuple[int, ...]            # cyclic orders of the generators
-    _basis: np.ndarray                  # adapted basis of the cocycle lattice
-    _basis_snf: SmithDecomposition      # U, S, V of a Smith decomposition of _basis
     _sdiag: tuple[int, ...]             # elementary divisors along _basis
-    _dec: CyclicDecomposition
-    _tuples: tuple
+    # the rest follows from (module, degree), so == and hash skip it
+    _basis: np.ndarray = field(compare=False)               # adapted cocycle lattice basis
+    _basis_snf: SmithDecomposition = field(compare=False)   # U, S, V of _basis
+    _dec: CyclicDecomposition = field(compare=False)
+    _tuples: tuple = field(compare=False)
 
     @property
     def order(self) -> int:
-        return self.group.order
+        return math.prod(self.factors)
 
     def _vector(self, f: Cochain) -> np.ndarray:
         k = max(1, len(self._dec.factors))
@@ -377,7 +370,6 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
         result = CohomologyGroup(
             module=module,
             degree=degree,
-            group=cyclic_group(1),
             factors=(),
             _basis=empty,
             _basis_snf=SmithDecomposition(empty, empty, empty, None, None),
@@ -418,14 +410,10 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     adapted_snf = SmithDecomposition(
         u=lattice.u, s=lattice.s, v=dec_x.u @ lattice.v, uinv=None, vinv=None
     )
-    factors = tuple(s for s in sdiag if s > 1)
-    group = _mixed_radix_group(factors)
-
     result = CohomologyGroup(
         module=module,
         degree=degree,
-        group=group,
-        factors=factors,
+        factors=tuple(s for s in sdiag if s > 1),
         _basis=adapted,
         _basis_snf=adapted_snf,
         _sdiag=sdiag,

@@ -29,6 +29,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupHom,
+    PullbackResult,
     _group,
     _hom,
     compose,
@@ -111,8 +112,11 @@ def unit_extension(module: CModule) -> AbelianExtension:
     return ext
 
 
-def baer_sum(e1: AbelianExtension, e2: AbelianExtension) -> AbelianExtension:
-    """Pullback over the base, then quotient by the antidiagonal kernel."""
+def _baer_quotient(
+    e1: AbelianExtension, e2: AbelianExtension
+) -> tuple[PullbackResult, GroupHom, AbelianExtension]:
+    """The pullback E1 x_C E2, its quotient map by the antidiagonal copy of
+    B, and the quotient as an extension of C by B."""
     if e1.module != e2.module:
         raise ModuleMismatch("Baer sum requires the same kernel module")
     k1, g1 = e1.kernel_arrow, e1.quotient_arrow
@@ -124,7 +128,12 @@ def baer_sum(e1: AbelianExtension, e2: AbelianExtension) -> AbelianExtension:
     ext = build_extension(kernel_arrow, quotient_arrow)
     if ext.module != e1.module:
         raise ModuleMismatch("Baer sum does not induce the expected module")
-    return ext
+    return pb, proj, ext
+
+
+def baer_sum(e1: AbelianExtension, e2: AbelianExtension) -> AbelianExtension:
+    """Pullback over the base, then quotient by the antidiagonal kernel."""
+    return _baer_quotient(e1, e2)[2]
 
 
 def pushforward_extension(

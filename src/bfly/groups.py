@@ -329,23 +329,28 @@ def is_normal(g: FiniteGroup, elements) -> bool:
     return bool(member[g.conjugates(elems)].all())
 
 
-def quotient_by(g: FiniteGroup, normal_elements) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient by a normal subgroup; cosets labeled by least member.
+def _label_cosets(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosets labeled by least member, from rep[a] = least member of a's coset.
 
-    The identity coset contains 0, hence sorts first; remaining cosets are
-    ordered by least member, which makes the labeling reproducible.
+    Returns the least members in increasing order (the identity coset first)
+    and proj[a] = the label of a's coset.
     """
+    labels = np.flatnonzero(rep == np.arange(len(rep)))
+    pos = np.full(len(rep), -1, dtype=np.int64)
+    pos[labels] = np.arange(len(labels))
+    return labels, pos[rep]
+
+
+def quotient_by(g: FiniteGroup, normal_elements) -> tuple[FiniteGroup, GroupHom]:
+    """Quotient by a normal subgroup, cosets labeled as in ``_label_cosets``."""
     nelems = sorted(set(int(e) for e in normal_elements))
     member = _membership(g, nelems)
     # a finite subset that holds 0 and is closed under + is a subgroup
     subgroup = member[0] and member[g.table[np.ix_(nelems, nelems)]].all()
     require(subgroup and is_normal(g, nelems), "quotient_by requires a normal subgroup")
-    rep = g.table[:, nelems].min(axis=1)                 # least member of a + N
-    labels = np.flatnonzero(rep == np.arange(g.order))    # least members
-    pos = np.full(g.order, -1, dtype=np.int64)
-    pos[labels] = np.arange(len(labels))
-    q = _group(pos[rep[g.table[np.ix_(labels, labels)]]])
-    return q, _hom(g, q, pos[rep])
+    labels, proj = _label_cosets(g.table[:, nelems].min(axis=1))
+    q = _group(proj[g.table[np.ix_(labels, labels)]])
+    return q, _hom(g, q, proj)
 
 
 def cokernel(f: GroupHom) -> tuple[FiniteGroup, GroupHom]:

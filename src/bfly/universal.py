@@ -136,21 +136,13 @@ def composition_square(
     extension along the codiagonal.
     """
     from .actions import cmodule_product, pair_codiagonal
-    from .extensions import build_extension
-    from .groups import _hom, hom_from_cosets, pullback, quotient_by
+    from .extensions import _baer_quotient, build_extension
+    from .groups import _hom
 
-    if e.module != ep.module:
-        raise ModuleMismatch("loops compose only over a shared module")
-    k1, g1 = e.kernel_arrow, e.quotient_arrow
-    k2, g2 = ep.kernel_arrow, ep.quotient_arrow
-    pb = pullback(g1, g2)
+    pb, proj, target = _baer_quotient(e, ep)
     pm = cmodule_product(e.module, ep.module)
-    kappa_prod = _hom(pm.module.coeff, pb.group, pb.pair_index(k1.map[:, None], k2.map).ravel())
-    gamma_prod = compose(g1, pb.p1)
-    dom_ext = build_extension(kappa_prod, gamma_prod)
-    q_grp, proj = quotient_by(pb.group, pb.pair_index(k1.map, k2.cod.inv[k2.map]))
-    kappa_new = _hom(k1.dom, q_grp, proj.map[pb.pair_index(0, k2.map)])
-    gamma_new = hom_from_cosets(proj, gamma_prod)
-    target = build_extension(kappa_new, gamma_new)
+    kappa = _hom(pm.module.coeff, pb.group,
+                 pb.pair_index(e.kernel_arrow.map[:, None], ep.kernel_arrow.map).ravel())
+    dom_ext = build_extension(kappa, compose(e.quotient_arrow, pb.p1))
     beta = pair_codiagonal(pm, e.module)
     return ExtensionLift(source=dom_ext, beta=beta, mid=proj, target=target)

@@ -22,7 +22,7 @@ from bfly.butterflies import (
     tensor_xext_with_data,
     unit_xext,
 )
-from bfly.cohomology import CyclicDecomposition, _mixed_radix_group
+from bfly.cohomology import CyclicDecomposition, cyclic_group
 from bfly.crossed import CrossedModule, InternalGroupoid, build_crossed_module
 from bfly.errors import (
     ActionNotWellDefined,
@@ -209,6 +209,14 @@ def ref_find_isomorphisms(g, h, limit=None):
     return isos
 
 
+def ref_mixed_radix_group(factors: tuple[int, ...]) -> FiniteGroup:
+    """Z_{d1} x ... x Z_{dk}, coordinate tuples in lexicographic order."""
+    group = cyclic_group(1)
+    for d in factors:
+        group = direct_product(group, cyclic_group(d)).group
+    return group
+
+
 def ref_divisor_chains(n: int) -> list[tuple[int, ...]]:
     """All chains d1 | d2 | ... | dk with product n and di >= 2."""
     if n == 1:
@@ -233,7 +241,7 @@ def ref_decompose(table_bytes: bytes, order: int) -> CyclicDecomposition:
     table = np.frombuffer(table_bytes, dtype=np.int64).reshape(order, order)
     b = _group(table)
     for chain in ref_divisor_chains(order):
-        model = _mixed_radix_group(chain)
+        model = ref_mixed_radix_group(chain)
         isos = find_isomorphisms(model, b, limit=1)
         if isos:
             iso = isos[0]

@@ -253,7 +253,7 @@ def test_hom_scan_matches_pointwise_check():
 def test_derived_constructions_pass_full_validation(s3):
     """Groups and maps built by invariant must pass the public validators."""
     from bfly.catalog import all_actions, h2_catalog, standard_groups, standard_modules
-    from bfly.cohomology import _mixed_radix_group, z1
+    from bfly.cohomology import z1
     from bfly.extensions import pi1_group
 
     def same_group(g):
@@ -267,8 +267,6 @@ def test_derived_constructions_pass_full_validation(s3):
     groups = list(standard_groups().values()) + [s3]
     for n in range(1, 13):
         same_group(cyclic_group(n))
-    for factors in ((), (2,), (2, 2), (2, 6), (2, 2, 4)):
-        same_group(_mixed_radix_group(factors))
     for g in groups:
         same_hom(identity_hom(g))
         for h in groups:

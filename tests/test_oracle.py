@@ -25,7 +25,6 @@ from bfly.cohomology import (
     Z1Result,
     _coboundary_matrix,
     _decompose_cached,
-    _mixed_radix_group,
     _nonzero_tuples,
     add_cochains,
     build_cochain,
@@ -52,6 +51,7 @@ from bfly.groups import (
 )
 
 from conftest import relabelled
+from reference_loops import ref_mixed_radix_group
 
 
 def test_h2_h3_ground_truth(z2_z2_triv, z3_z3_triv, z2_z3_inv):
@@ -90,7 +90,7 @@ def test_decomposition_matches_the_divisor_chain_search(s3):
     from reference_loops import ref_decompose
 
     for primary in _ABELIAN_TYPES:
-        g = _mixed_radix_group(primary)
+        g = ref_mixed_radix_group(primary)
         for b in [g] + [relabelled(g, seed) for seed in range(3)]:
             got = _decompose_cached(b.table.tobytes(), b.order)
             want = ref_decompose(b.table.tobytes(), b.order)
@@ -122,8 +122,8 @@ def test_decomposition_needs_no_hom_search(monkeypatch, tmp_path, capsys):
     for module in (groups, coh_module):
         for name in ("find_isomorphisms", "all_homs"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    z2_5 = relabelled(_mixed_radix_group((2,) * 5), 11)
-    z2z4z4 = relabelled(_mixed_radix_group((2, 4, 4)), 12)
+    z2_5 = relabelled(ref_mixed_radix_group((2,) * 5), 11)
+    z2z4z4 = relabelled(ref_mixed_radix_group((2, 4, 4)), 12)
     for b, factors in ((z2_5, (2,) * 5), (z2z4z4, (2, 4, 4))):
         start = time.perf_counter()
         assert cyclic_decomposition(b).factors == factors
@@ -141,6 +141,30 @@ def test_cohomology_cache_is_keyed_by_value():
     b = trivial_module(cyclic_group(2), cyclic_group(3))
     assert a is not b and a == b and hash(a) == hash(b)
     assert cohomology(a, 2) is cohomology(b, 2)
+
+
+def test_cohomology_groups_compare_and_hash_by_value(monkeypatch):
+    """Two computations of one group are equal, hash alike, and so do their classes."""
+    import bfly.cohomology as coh
+
+    m = dict(standard_modules())["K4-Z2-a0"]
+    monkeypatch.setattr(coh, "_COHOM_CACHE", {})
+    first = cohomology(m, 3)
+    monkeypatch.setattr(coh, "_COHOM_CACHE", {})
+    second = cohomology(m, 3)
+    assert first is not second and first._basis is not second._basis
+    assert first == second and hash(first) == hash(second)
+    assert first.zero() == second.zero()
+    assert len({first.zero(), second.zero()}) == 1
+    assert first != cohomology(m, 2)
+
+
+def test_cohomology_builds_no_group_of_its_order():
+    """H^3(K4, trivial Z2^3) = Z2^12 has order 4096, over the default cap."""
+    from bfly.catalog import klein_group
+
+    h3 = cohomology(trivial_module(klein_group(), ref_mixed_radix_group((2, 2, 2))), 3)
+    assert h3.factors == (2,) * 12 and h3.order == 4096
 
 
 def test_brute_force_does_not_import_numpy_ma():
