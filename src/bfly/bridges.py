@@ -19,7 +19,7 @@ from .cohomology import (
     cohomology,
     is_cocycle,
 )
-from .errors import NotACocycle, require
+from .errors import ModuleMismatch, NotACocycle, require
 from .extensions import AbelianExtension, build_extension
 from .groups import _group, _hom
 
@@ -51,18 +51,34 @@ def extension_from_2cocycle(f: Cochain) -> AbelianExtension:
     return ext
 
 
-def _pointed_section(gamma, rng: np.random.Generator | None) -> np.ndarray:
-    """Section of gamma over its image with s(0) = 0, and -1 off the image.
+def _pointed_sections(arrows, rng: np.random.Generator | None, count: int):
+    """``count`` pointed sections of each arrow over its image, as stacks.
 
-    Each fibre gives its least index, or a seeded-random one.
+    Each section of a gamma in ``arrows`` is a row with s(0) = 0 and -1 off
+    the image; each fibre gives its least index, or a seeded-random one.
+    The draws come in the order of ``count`` successive rounds, each
+    taking the fibres of every arrow in turn, in increasing c.
     """
-    section = np.full(gamma.cod.order, -1, dtype=np.int64)
-    section[0] = 0
-    for c in range(1, gamma.cod.order):
-        fibre = np.flatnonzero(gamma.map == c)
-        if len(fibre):
-            section[c] = fibre[0] if rng is None else fibre[rng.integers(len(fibre))]
-    return section
+    fibres = []
+    for gamma in arrows:
+        order = np.argsort(gamma.map, kind="stable")
+        points, starts, sizes = np.unique(
+            gamma.map[order], return_index=True, return_counts=True
+        )
+        fibres.append((order, points[1:], starts[1:], sizes[1:]))
+    sizes = np.concatenate([f[3] for f in fibres])
+    if rng is None:
+        draws = np.zeros((count, len(sizes)), dtype=np.int64)
+    else:
+        draws = rng.integers(np.tile(sizes, count)).reshape(count, len(sizes))
+    out, at = [], 0
+    for gamma, (order, points, starts, _) in zip(arrows, fibres):
+        section = np.full((count, gamma.cod.order), -1, dtype=np.int64)
+        section[:, 0] = 0
+        section[:, points] = order[starts + draws[:, at: at + len(points)]]
+        out.append(section)
+        at += len(points)
+    return out
 
 
 def _preimage(inclusion) -> np.ndarray:
@@ -73,16 +89,16 @@ def _preimage(inclusion) -> np.ndarray:
 
 
 def _defect(g, s: np.ndarray, c_table: np.ndarray) -> np.ndarray:
-    """s(c1) + s(c2) - s(c1 + c2) in g, over all pairs (c1, c2)."""
-    return g.table[g.table[s[:, None], s[None, :]], g.inv[s[c_table]]]
+    """s(c1) + s(c2) - s(c1 + c2) in g, over all pairs (c1, c2), per row of s."""
+    return g.table[g.table[s[..., :, None], s[..., None, :]], g.inv[s[..., c_table]]]
 
 
 def cocycle_of_extension(
     ext: AbelianExtension, rng: np.random.Generator | None = None
 ) -> Cochain:
     """Failure of a pointed section to be a homomorphism, as a 2-cochain."""
-    s = _pointed_section(ext.quotient_arrow, rng)
-    vals = _preimage(ext.kernel_arrow)[_defect(ext.middle, s, ext.module.base.table)]
+    (s,) = _pointed_sections([ext.quotient_arrow], rng, 1)
+    vals = _preimage(ext.kernel_arrow)[_defect(ext.middle, s[0], ext.module.base.table)]
     require((vals >= 0).all(), "section defect outside the kernel")
     return build_cochain(ext.module, 2, vals)
 
@@ -93,39 +109,79 @@ def class_of_extension(
     return cohomology(ext.module, 2).classify(cocycle_of_extension(ext, rng))
 
 
-def cocycle_of_crossed_extension(
-    e: CrossedExtension, rng: np.random.Generator | None = None
-) -> Cochain:
-    """Associativity defect of section lifts, as a normalized 3-cochain.
+def _crossed_cocycle_rows(
+    e: CrossedExtension, rng: np.random.Generator | None, count: int
+) -> tuple[np.ndarray, str | None]:
+    """Associativity defects of ``count`` section pairs, as 3-cochain rows.
 
     Sections: s of p (pointed), t of the boundary onto its image
     (pointed); g(c1,c2) = t(s(c1)+s(c2)-s(c1+c2)); the defect
     s(c1)*g(c2,c3) + g(c1,c2+c3) - g(c1+c2,c3) - g(c1,c2) lies in the
     kernel and defines the 3-cocycle.  Its terms are faces 0, 2, 1, 3 of
     (c1, c2, c3), summed in this order because E2 need not be abelian.
+    Row r draws its s and then its t as the r-th of ``count`` successive
+    one-row calls would.  Returns the row-major values of the rows before
+    the first whose defect leaves the image, and that row's failure or None.
     """
     m, e2 = e.module, e.e2
-    s = _pointed_section(e.p, rng)
-    t = _pointed_section(e.xm.boundary, rng)
-    g = t[_defect(e.e1, s, m.base.table)]
-    require((g >= 0).all(), "section defect outside the boundary image")
+    s, t = _pointed_sections([e.p, e.xm.boundary], rng, count)
+    g = np.take_along_axis(t, _defect(e.e1, s, m.base.table).reshape(count, -1), axis=1)
     faces, first = _faces(m.base, 2)
-    terms = g.reshape(-1)[faces]
-    z = e.xm.action.act[s[first], terms[:, 0]]
-    z = e2.table[z, terms[:, 2]]
-    z = e2.table[z, e2.inv[terms[:, 1]]]
-    z = e2.table[z, e2.inv[terms[:, 3]]]
+    terms = g[:, faces]             # -1 in a failing row still indexes, harmlessly
+    z = e.xm.action.act[s[:, first], terms[..., 0]]
+    z = e2.table[z, terms[..., 2]]
+    z = e2.table[z, e2.inv[terms[..., 1]]]
+    z = e2.table[z, e2.inv[terms[..., 3]]]
     vals = _preimage(e.j)[z]
-    require((vals >= 0).all(), "associativity defect outside j(B)")
-    return build_cochain(m, 3, vals.reshape((m.base.order,) * 3))
+    outside_image, outside_j = (g < 0).any(axis=1), (vals < 0).any(axis=1)
+    failed = outside_image | outside_j
+    if not failed.any():
+        return vals, None
+    r = int(failed.argmax())
+    if outside_image[r]:
+        return vals[:r], "section defect outside the boundary image"
+    return vals[:r], "associativity defect outside j(B)"
+
+
+def cocycle_of_crossed_extension(
+    e: CrossedExtension, rng: np.random.Generator | None = None
+) -> Cochain:
+    """Associativity defect of section lifts, as a normalized 3-cochain."""
+    rows, failure = _crossed_cocycle_rows(e, rng, 1)
+    require(failure is None, failure)
+    return build_cochain(e.module, 3, rows[0].reshape((e.module.base.order,) * 3))
+
+
+def classes_of_crossed_extensions(
+    exts: list[CrossedExtension],
+    rng: np.random.Generator | None = None,
+    count: int = 1,
+) -> list[CocycleClass]:
+    """Classes of ``count`` re-chosen cocycles of each extension, in one stack.
+
+    The extensions share one module.  The classes come extension by
+    extension, as successive one-row calls give them and with the same
+    draws.  The rows are classified before a failing row is reported, so
+    the stack raises what the one-row path raises for its first failing row.
+    """
+    module = exts[0].module
+    stacks, failure = [], None
+    for e in exts:
+        if e.module != module:
+            raise ModuleMismatch("crossed extensions over different modules")
+        rows, failure = _crossed_cocycle_rows(e, rng, count)
+        stacks.append(rows)
+        if failure is not None:
+            break
+    classes = cohomology(module, 3).classify_rows(np.concatenate(stacks))
+    require(failure is None, failure)
+    return classes
 
 
 def class_of_crossed_extension(
     e: CrossedExtension, rng: np.random.Generator | None = None
 ) -> CocycleClass:
-    return cohomology(e.module, 3).classify(
-        cocycle_of_crossed_extension(e, rng)
-    )
+    return classes_of_crossed_extensions([e], rng)[0]
 
 
 def map_cochain(beta: CModuleMorphism, f: Cochain) -> Cochain:
@@ -137,5 +193,5 @@ def map_cochain(beta: CModuleMorphism, f: Cochain) -> Cochain:
 
 def push_class(beta: CModuleMorphism, cls: CocycleClass) -> CocycleClass:
     """Induced map on cohomology, computed on a representative."""
-    mapped = map_cochain(beta, cls.representative)
-    return cohomology(beta.cod, cls.representative.degree).classify(mapped)
+    f = cls.representative
+    return cohomology(beta.cod, f.degree).classify(map_cochain(beta, f))

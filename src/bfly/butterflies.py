@@ -132,11 +132,16 @@ def build_crossed_extension(
 
 
 def unit_xext(module: CModule) -> CrossedExtension:
-    """I: B = B -0-> C = C, the monoidal unit of the fibre over the module."""
+    """I: B = B -0-> C = C, the monoidal unit of the fibre over the module.
+
+    Built by invariant: the zero boundary into C makes the module's action
+    a crossed module because B is abelian, and the identity arrows embed its
+    kernel B and project onto C, so the induced module is ``module`` itself.
+    """
     b_grp, c_grp = module.coeff, module.base
-    xm = build_crossed_module(zero_hom(b_grp, c_grp), module.action)
-    return build_crossed_extension(
-        identity_hom(b_grp), xm, identity_hom(c_grp)
+    xm = CrossedModule(boundary=zero_hom(b_grp, c_grp), action=module.action)
+    return CrossedExtension(
+        j=identity_hom(b_grp), xm=xm, p=identity_hom(c_grp), module=module
     )
 
 

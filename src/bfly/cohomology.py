@@ -43,7 +43,7 @@ class CyclicDecomposition:
 
     factors: tuple[int, ...]
     to_vec: np.ndarray      # (|B|, k) coordinates of each element
-    from_vec: dict          # tuple -> element index
+    from_vec: np.ndarray    # shape factors: the element with each coordinate tuple
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +79,7 @@ def _decompose_cached(table_bytes: bytes, order: int) -> CyclicDecomposition:
     coords = list(itertools.product(*[range(d) for d in factors]))
     to_vec = np.zeros((order, max(1, len(factors))), dtype=np.int64)
     to_vec[elems, : len(factors)] = coords
-    return CyclicDecomposition(factors, to_vec, dict(zip(coords, elems.tolist())))
+    return CyclicDecomposition(factors, to_vec, elems.reshape(factors))
 
 
 def cyclic_decomposition(b: FiniteGroup) -> CyclicDecomposition:
@@ -257,46 +257,46 @@ class CohomologyGroup:
     _basis: np.ndarray = field(compare=False)               # adapted cocycle lattice basis
     _basis_snf: SmithDecomposition = field(compare=False)   # U, S, V of _basis
     _dec: CyclicDecomposition = field(compare=False)
-    _tuples: tuple = field(compare=False)
+    _cols: np.ndarray = field(compare=False)    # flat index of each nonzero tuple
 
     @property
     def order(self) -> int:
         return math.prod(self.factors)
 
-    def _vector(self, f: Cochain) -> np.ndarray:
-        k = max(1, len(self._dec.factors))
-        v = np.zeros(len(self._tuples) * k, dtype=object)
-        for i, t in enumerate(self._tuples):
-            v[i * k: (i + 1) * k] = self._dec.to_vec[int(f.values[t])][:k]
-        return v
+    def _vector(self, rows: np.ndarray) -> np.ndarray:
+        """Cyclic coordinates at the nonzero tuples, one column per cochain row."""
+        coords = self._dec.to_vec[rows[:, self._cols]]
+        return coords.reshape(len(rows), self._basis.shape[0]).T.astype(object)
 
     def _cochain(self, v) -> Cochain:
-        m = self.module
-        nc = m.base.order
-        kk = len(self._dec.factors)
-        k = max(1, kk)
-        out = np.zeros((nc,) * self.degree, dtype=np.int64)
-        for i, t in enumerate(self._tuples):
-            coords = tuple(
-                int(v[i * k + j]) % self._dec.factors[j] for j in range(kk)
-            )
-            out[t] = self._dec.from_vec[coords]
-        return Cochain(self.degree, m, out)
+        """The cochain with coordinates v at the nonzero tuples; inverse of _vector."""
+        m, dec = self.module, self._dec
+        nc, kk = m.base.order, len(dec.factors)
+        coords = np.asarray(v, dtype=object).reshape(len(self._cols), max(1, kk))[:, :kk]
+        coords = (coords % np.array(dec.factors, dtype=object)).astype(np.int64)
+        out = np.zeros(nc ** self.degree, dtype=np.int64)
+        out[self._cols] = dec.from_vec[tuple(coords.T)]
+        return Cochain(self.degree, m, out.reshape((nc,) * self.degree))
+
+    def classify_rows(self, rows: np.ndarray) -> list["CocycleClass"]:
+        """Classes of a stack of normalized cochains, one per row-major row.
+
+        One coboundary, one gather and one solve serve the whole stack; a
+        row that is not a cocycle raises as ``classify`` does.
+        """
+        if _coboundary_values(self.module, self.degree, rows).any():
+            raise NotACocycle("not a cocycle")
+        y = solve_integer(self._basis, self._vector(rows), dec=self._basis_snf)
+        require(y is not None, "cocycle outside the computed cocycle lattice")
+        gens = [i for i, s in enumerate(self._sdiag) if s > 1]
+        coords = y[gens] % np.array(self.factors, dtype=object)[:, None]
+        return [CocycleClass(group=self, coords=tuple(c)) for c in coords.T.tolist()]
 
     def classify(self, f: Cochain) -> "CocycleClass":
         """Coordinates of the class of a cocycle in this presentation."""
         if f.degree != self.degree or f.module != self.module:
             raise NotACocycle("cochain does not belong to this group")
-        if not is_cocycle(f):
-            raise NotACocycle("not a cocycle")
-        y = solve_integer(self._basis, self._vector(f), dec=self._basis_snf)
-        require(y is not None, "cocycle outside the computed cocycle lattice")
-        coords = tuple(
-            int(y[i]) % s
-            for i, s in enumerate(self._sdiag)
-            if s > 1
-        )
-        return CocycleClass(group=self, coords=coords)
+        return self.classify_rows(f.values.reshape(1, -1))[0]
 
     def representative(self, coords) -> Cochain:
         gen_cols = [i for i, s in enumerate(self._sdiag) if s > 1]
@@ -360,8 +360,9 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     dec = cyclic_decomposition(module.coeff)
     nc = module.base.order
     k = max(1, len(dec.factors))
-    tuples = _nonzero_tuples(nc, degree)
-    n_unknowns = len(tuples) * k
+    cols = np.flatnonzero(_nonzero_mask(nc, degree))
+    cols.setflags(write=False)
+    n_unknowns = len(cols) * k
     if n_unknowns > _SOLVER_UNKNOWN_CAP:
         raise SizeCap(f"{n_unknowns} unknowns exceed the solver cap")
 
@@ -375,7 +376,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
             _basis_snf=SmithDecomposition(empty, empty, empty, None, None),
             _sdiag=(),
             _dec=dec,
-            _tuples=(),
+            _cols=cols,
         )
         _COHOM_CACHE[key] = result
         return result
@@ -386,7 +387,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     ker = integer_kernel(stacked)
     proj = ker[:n_unknowns, :]
     # the unknown-space moduli always lie in the cocycle lattice
-    col_mods = np.diag(np.array(_moduli(dec, len(tuples)), dtype=object))
+    col_mods = np.diag(np.array(_moduli(dec, len(cols)), dtype=object))
     coc_gens = np.concatenate([proj, col_mods], axis=1)
     basis = column_lattice_basis(coc_gens)
     require(basis.shape == (n_unknowns, n_unknowns))
@@ -418,7 +419,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
         _basis_snf=adapted_snf,
         _sdiag=sdiag,
         _dec=dec,
-        _tuples=tuple(tuples),
+        _cols=cols,
     )
     _COHOM_CACHE[key] = result
     return result
@@ -451,10 +452,15 @@ def _cocycles(module: CModule, degree: int) -> np.ndarray:
     """Every normalized cocycle, as a row of _candidate_matrix.
 
     Candidates are filtered one coboundary column at a time, so no
-    candidates x targets matrix is ever built.
+    candidates x targets matrix is ever built.  The columns of tuples with
+    no zero entry come first: normalized cochains form a subcomplex of the
+    bar complex (Brown, *Cohomology of Groups*, I.5 and IV.2), so the other
+    columns vanish on every candidate and only cost time while many remain.
+    Every column is still checked.
     """
     v = _candidate_matrix(module, degree)
-    for col in range(module.base.order ** (degree + 1)):
+    constraining = _nonzero_mask(module.base.order, degree + 1)
+    for col in np.concatenate([np.flatnonzero(constraining), np.flatnonzero(~constraining)]):
         keep = _coboundary_values(module, degree, v, [col])[:, 0] == 0
         if not keep.all():
             v = v[keep]

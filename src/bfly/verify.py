@@ -20,6 +20,7 @@ from .actions import (
 )
 from .bridges import (
     class_of_crossed_extension,
+    classes_of_crossed_extensions,
     cocycle_of_extension,
     extension_from_2cocycle,
     push_class,
@@ -458,8 +459,8 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
             n = 0
             for ename, e in cat:
                 base = class_of_crossed_extension(e)
-                for _ in range(100):
-                    require(class_of_crossed_extension(e, rng) == base, ename)
+                for cls in classes_of_crossed_extensions([e], rng, 100):
+                    require(cls == base, ename)
                     n += 1
             return f"{n} re-choices"
         _check(out, f"oracle:class:section-independent:{name}", section_independent)
@@ -467,11 +468,13 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
         def vertical_invariant(cat=cat, m=m):
             n = 0
             for ename, e in cat:
-                base = class_of_crossed_extension(e)
                 _, lift = pushforward_xext(e, identity_morphism(m))
-                require(class_of_crossed_extension(lift.cod) == base, ename)
                 cmp = tensor_unit_comparison(e)
-                require(class_of_crossed_extension(cmp.cod) == base, ename)
+                base, lifted, compared = classes_of_crossed_extensions(
+                    [e, lift.cod, cmp.cod]
+                )
+                require(lifted == base, ename)
+                require(compared == base, ename)
                 n += 2
             return f"{n} vertical comparisons"
         _check(out, f"oracle:class:vertical-invariant:{name}", vertical_invariant)
@@ -479,9 +482,8 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
         def tensor_additive(cat=cat):
             n = 0
             for (n1, e1), (n2, e2) in _pairs(cat, 6):
-                lhs = class_of_crossed_extension(tensor_xext(e1, e2))
-                rhs = class_of_crossed_extension(e1) + class_of_crossed_extension(e2)
-                require(lhs == rhs, f"{n1} (x) {n2}")
+                lhs, c1, c2 = classes_of_crossed_extensions([tensor_xext(e1, e2), e1, e2])
+                require(lhs == c1 + c2, f"{n1} (x) {n2}")
                 n += 1
             return f"{n} pairs"
         _check(out, f"oracle:class:tensor-additive:{name}", tensor_additive)
@@ -491,10 +493,8 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
             from .butterflies import inverse_xext
 
             for ename, e in cat:
-                s = class_of_crossed_extension(e) + class_of_crossed_extension(
-                    inverse_xext(e)
-                )
-                require(s.is_zero(), ename)
+                c, ci = classes_of_crossed_extensions([e, inverse_xext(e)])
+                require((c + ci).is_zero(), ename)
                 n += 1
             return f"{n} extensions"
         _check(out, f"oracle:class:inverse-law:{name}", inverse_law)
@@ -516,7 +516,8 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
         _check(out, f"oracle:class:pushforward-equivariant:{name}", pushforward_equivariant)
 
         def realized(cat=cat, h3=h3):
-            classes = {ename: class_of_crossed_extension(e).coords for ename, e in cat}
+            found = classes_of_crossed_extensions([e for _, e in cat])
+            classes = {ename: cls.coords for (ename, _), cls in zip(cat, found)}
             require(classes["unit"] == h3.zero().coords, "the unit's class is not zero")
             for ename, coords in classes.items():
                 require(len(coords) == len(h3.factors)

@@ -34,6 +34,38 @@ def relabelled(g, seed):
     return build_group(table)
 
 
+def coinduced_xext(module, coords):
+    """A crossed extension B >-> I -> E ->> C of the degree-3 class at coords.
+
+    C must act trivially on B.  I = Map(C, B) with (c * phi)(x) = phi(x + c),
+    B embeds as the constant maps, and E is the extension of C by I/B with
+    cocycle h(c1, c2)(x) = f(x, c1, c2) (Brown, *Cohomology of Groups*, III.5
+    and IV.5).
+    """
+    from bfly.bridges import extension_from_2cocycle
+    from bfly.butterflies import build_crossed_extension
+    from bfly.cohomology import build_cochain, cohomology
+    from bfly.crossed import build_crossed_module
+    from bfly.groups import _group, _hom, compose, quotient_by
+
+    c, b = module.base, module.coeff
+    nc, nb = c.order, b.order
+    f = cohomology(module, 3).representative(coords).values
+    phis = np.indices((nb,) * nc).reshape(nc, -1).T               # phi as rows phi(x)
+    code = nb ** np.arange(nc - 1, -1, -1)
+    i_grp = _group(b.table[phis[:, None], phis[None]] @ code)
+    iota = _hom(b, i_grp, np.arange(nb) * code.sum())
+    shifted = phis[:, c.table].transpose(2, 0, 1) @ code            # [c, phi] = c * phi
+    q_grp, proj = quotient_by(i_grp, iota.map)
+    reps = np.unique(proj.map, return_index=True)[1]
+    q_mod = build_cmodule(c, q_grp, proj.map[shifted[:, reps]])
+    h = proj.map[np.moveaxis(f, 0, -1) @ code]                      # [c1, c2] = h(c1, c2)
+    ext = extension_from_2cocycle(build_cochain(q_mod, 2, h))
+    bnd = compose(ext.kernel_arrow, proj)
+    xm = build_crossed_module(bnd, build_action(ext.middle, i_grp, shifted[ext.quotient_arrow.map]))
+    return build_crossed_extension(iota, xm, ext.quotient_arrow)
+
+
 @pytest.fixture(scope="session")
 def z2():
     return cyclic_group(2)

@@ -22,7 +22,14 @@ from bfly.butterflies import (
     tensor_xext_with_data,
     unit_xext,
 )
-from bfly.cohomology import CyclicDecomposition, cyclic_group
+from bfly.cohomology import (
+    Cochain,
+    CyclicDecomposition,
+    _candidate_matrix,
+    _coboundary_values,
+    _nonzero_tuples,
+    cyclic_group,
+)
 from bfly.crossed import CrossedModule, InternalGroupoid, build_crossed_module
 from bfly.errors import (
     ActionNotWellDefined,
@@ -756,3 +763,42 @@ def _ref_pushforward_class(tensored, lift, data, bb, x1, x2):
     """Class of (b, (x1, x2)) in the tensor middle via the lift and j."""
     pair = data.middle.pair_index(x1, x2)
     return tensored.e2.add(tensored.j(bb), lift.f2(pair))
+
+
+def ref_vector(group, f):
+    """CohomologyGroup._vector before the gather: one cochain, one tuple at a time."""
+    tuples = _nonzero_tuples(group.module.base.order, group.degree)
+    k = max(1, len(group._dec.factors))
+    v = np.zeros(len(tuples) * k, dtype=object)
+    for i, t in enumerate(tuples):
+        v[i * k: (i + 1) * k] = group._dec.to_vec[int(f.values[t])][:k]
+    return v
+
+
+def ref_cochain(group, v):
+    """CohomologyGroup._cochain before the gather."""
+    m = group.module
+    nc = m.base.order
+    kk = len(group._dec.factors)
+    k = max(1, kk)
+    out = np.zeros((nc,) * group.degree, dtype=np.int64)
+    for i, t in enumerate(_nonzero_tuples(nc, group.degree)):
+        coords = tuple(
+            int(v[i * k + j]) % group._dec.factors[j] for j in range(kk)
+        )
+        out[t] = group._dec.from_vec[coords]
+    return Cochain(group.degree, m, out)
+
+
+def ref_cocycles(module, degree: int) -> np.ndarray:
+    """Every normalized cocycle, as a row of _candidate_matrix.
+
+    Candidates are filtered one coboundary column at a time, so no
+    candidates x targets matrix is ever built.
+    """
+    v = _candidate_matrix(module, degree)
+    for col in range(module.base.order ** (degree + 1)):
+        keep = _coboundary_values(module, degree, v, [col])[:, 0] == 0
+        if not keep.all():
+            v = v[keep]
+    return v

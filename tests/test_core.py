@@ -252,8 +252,10 @@ def test_hom_scan_matches_pointwise_check():
 
 def test_derived_constructions_pass_full_validation(s3):
     """Groups and maps built by invariant must pass the public validators."""
+    from bfly.butterflies import build_crossed_extension, unit_xext
     from bfly.catalog import all_actions, h2_catalog, standard_groups, standard_modules
     from bfly.cohomology import z1
+    from bfly.crossed import build_crossed_module
     from bfly.extensions import pi1_group
 
     def same_group(g):
@@ -301,6 +303,13 @@ def test_derived_constructions_pass_full_validation(s3):
             same_group(ext.middle)
             same_hom(ext.kernel_arrow)
             same_hom(ext.quotient_arrow)
+        unit = unit_xext(m)           # the monoidal unit, built by invariant
+        checked = build_crossed_extension(
+            identity_hom(m.coeff),
+            build_crossed_module(zero_hom(m.coeff, m.base), m.action),
+            identity_hom(m.base),
+        )
+        assert unit == checked and unit.module == checked.module == m
 
     # the maps of the diagram layer that are homomorphisms by construction
     from bfly.actions import all_module_morphisms

@@ -41,6 +41,8 @@ from bfly.extensions import unit_extension
 from bfly.bridges import extension_from_2cocycle
 from bfly.cohomology import build_cochain
 
+from conftest import coinduced_xext
+
 
 def z4_ext(module):
     return extension_from_2cocycle(build_cochain(module, 2, [[0, 0], [0, 1]]))
@@ -322,39 +324,6 @@ def test_butterfly_layer_matches_the_pointwise_loops():
     assert {ButterflyConditionViolation, ActionNotWellDefined} <= failures
 
 
-def _coinduced_xext(module, coords):
-    """A crossed extension B >-> I -> E ->> C of the degree-3 class at coords.
-
-    C must act trivially on B.  I = Map(C, B) with (c * phi)(x) = phi(x + c),
-    B embeds as the constant maps, and E is the extension of C by I/B with
-    cocycle h(c1, c2)(x) = f(x, c1, c2) (Brown, *Cohomology of Groups*, III.5
-    and IV.5).
-    """
-    import numpy as np
-
-    from bfly.actions import build_action, build_cmodule
-    from bfly.butterflies import build_crossed_extension
-    from bfly.crossed import build_crossed_module
-    from bfly.groups import _group, _hom, compose, quotient_by
-
-    c, b = module.base, module.coeff
-    nc, nb = c.order, b.order
-    f = cohomology(module, 3).representative(coords).values
-    phis = np.indices((nb,) * nc).reshape(nc, -1).T               # phi as rows phi(x)
-    code = nb ** np.arange(nc - 1, -1, -1)
-    i_grp = _group(b.table[phis[:, None], phis[None]] @ code)
-    iota = _hom(b, i_grp, np.arange(nb) * code.sum())
-    shifted = phis[:, c.table].transpose(2, 0, 1) @ code            # [c, phi] = c * phi
-    q_grp, proj = quotient_by(i_grp, iota.map)
-    reps = np.unique(proj.map, return_index=True)[1]
-    q_mod = build_cmodule(c, q_grp, proj.map[shifted[:, reps]])
-    h = proj.map[np.moveaxis(f, 0, -1) @ code]                      # [c1, c2] = h(c1, c2)
-    ext = extension_from_2cocycle(build_cochain(q_mod, 2, h))
-    bnd = compose(ext.kernel_arrow, proj)
-    xm = build_crossed_module(bnd, build_action(ext.middle, i_grp, shifted[ext.quotient_arrow.map]))
-    return build_crossed_extension(iota, xm, ext.quotient_arrow)
-
-
 def test_tensor_pushforward_builds_no_group_over_the_cap():
     """The codiagonal pushforward of E x E, |E2| = 16, never builds B' x E2 (1024)."""
     from bfly.actions import cmodule_product, pair_codiagonal
@@ -364,7 +333,7 @@ def test_tensor_pushforward_builds_no_group_over_the_cap():
     from reference_loops import ref_pushforward_xext
 
     m = dict(standard_modules())["Z2-Z4-a0"]
-    e = _coinduced_xext(m, (1,))
+    e = coinduced_xext(m, (1,))
     assert (e.b.order, e.e2.order, e.e1.order) == (4, 16, 8)
     assert class_of_crossed_extension(e).coords == (1,)
     prod = product_xext_with_data(e, e).xext

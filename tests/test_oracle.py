@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from bfly.actions import trivial_module
 from bfly.bridges import (
+    _crossed_cocycle_rows,
+    class_of_crossed_extension,
     class_of_extension,
+    classes_of_crossed_extensions,
     cocycle_of_crossed_extension,
     cocycle_of_extension,
     extension_from_2cocycle,
@@ -18,12 +21,14 @@ from bfly.bridges import (
     push_class,
 )
 from bfly.actions import build_action, cmodule_morphism
-from bfly.butterflies import build_crossed_extension
+from bfly.butterflies import build_crossed_extension, unit_xext
 from bfly.catalog import h2_catalog, h3_catalog, standard_modules, trivial_group
 from bfly.cohomology import (
+    BRUTE_FORCE_CAP,
     Cochain,
     Z1Result,
     _coboundary_matrix,
+    _cocycles,
     _decompose_cached,
     _nonzero_tuples,
     add_cochains,
@@ -39,7 +44,7 @@ from bfly.cohomology import (
     z1,
 )
 from bfly.crossed import build_crossed_module
-from bfly.errors import LawViolation, NotACocycle, require
+from bfly.errors import BflyError, LawViolation, ModuleMismatch, NotACocycle, require
 from bfly.extensions import are_fibre_isomorphic, unit_extension
 from bfly.groups import (
     _group,
@@ -50,8 +55,8 @@ from bfly.groups import (
     zero_hom,
 )
 
-from conftest import relabelled
-from reference_loops import ref_mixed_radix_group
+from conftest import coinduced_xext, relabelled
+from reference_loops import ref_cochain, ref_cocycles, ref_mixed_radix_group, ref_vector
 
 
 def test_h2_h3_ground_truth(z2_z2_triv, z3_z3_triv, z2_z3_inv):
@@ -97,7 +102,8 @@ def test_decomposition_matches_the_divisor_chain_search(s3):
             assert got.factors == want.factors, primary
             assert got.to_vec.dtype == want.to_vec.dtype, primary
             assert np.array_equal(got.to_vec, want.to_vec), primary
-            assert list(got.from_vec.items()) == list(want.from_vec.items()), primary
+            assert got.from_vec.shape == want.factors, primary
+            assert {c: int(got.from_vec[c]) for c in want.from_vec} == want.from_vec, primary
     for decompose in (_decompose_cached, ref_decompose):
         with pytest.raises(LawViolation) as err:
             decompose(s3.table.tobytes(), s3.order)
@@ -492,22 +498,165 @@ def test_bridge_cocycles_match_loop_reference(modules):
     assert n > 400
 
 
-def test_crossed_bridge_on_a_nonabelian_e2(s3, z3):
-    """1 >-> S3 -> S3 x Z3 ->> Z3, with S3 x Z3 acting on S3 by conjugation.
-
-    Seeded sections give noncommuting lifts g(c1, c2) in E2 = S3, so the
-    defect is zero only when its terms are summed in their bar order.
-    """
+def _nonabelian_e2_xext(s3, z3):
+    """1 >-> S3 -> S3 x Z3 ->> Z3, with S3 x Z3 acting on S3 by conjugation."""
     prod = direct_product(s3, z3)
     g = prod.proj1.map
     act = s3.table[s3.table[g[:, None], np.arange(6)[None, :]], s3.inv[g][:, None]]
     xm = build_crossed_module(prod.inj1, build_action(prod.group, s3, act))
-    e = build_crossed_extension(zero_hom(trivial_group(), s3), xm, prod.proj2)
+    return build_crossed_extension(zero_hom(trivial_group(), s3), xm, prod.proj2)
+
+
+def test_crossed_bridge_on_a_nonabelian_e2(s3, z3):
+    """Seeded sections give noncommuting lifts g(c1, c2) in E2 = S3, so the
+    defect is zero only when its terms are summed in their bar order.
+    """
+    e = _nonabelian_e2_xext(s3, z3)
     for seed in (None, 1, 2, 3):
         rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
         f = cocycle_of_crossed_extension(e, rngs[0])
         assert f == reference_cocycle_of_crossed_extension(e, rngs[1])
         assert f == zero_cochain(e.module, 3)
+
+
+def test_stacked_classes_match_successive_one_row_calls(modules, s3, z3):
+    """A stack of re-chosen cocycles gives, class for class, what that many
+    one-row calls and the loop reference give, the reference's cocycles
+    draw for draw, and leaves the rng in the same state.  The coinduced
+    extensions have fibres of |B| elements over the boundary's image, so
+    the sections t are drawn too.
+    """
+    mods = dict(modules)
+    exts = [e for _, m in modules for _, e in h3_catalog(m, modules)]
+    exts.append(_nonabelian_e2_xext(s3, z3))
+    exts += [coinduced_xext(mods[name], coords) for name, coords in
+             [("Z2-Z2-a0", (1,)), ("Z3-Z2-a0", (0,)), ("Z2-Z4-a0", (1,)),
+              ("Z3-Z3-a0", (2,))]]
+    for e in exts:
+        h3 = cohomology(e.module, 3)
+        for seed in (None, 1, 2, 3):
+            rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(4)]
+            got = classes_of_crossed_extensions([e], rngs[0], 5)
+            assert got == [class_of_crossed_extension(e, rngs[1]) for _ in range(5)]
+            want = [reference_cocycle_of_crossed_extension(e, rngs[2]) for _ in range(5)]
+            assert got == [h3.classify(f) for f in want]
+            rows, failure = _crossed_cocycle_rows(e, rngs[3], 5)    # draw for draw
+            assert failure is None
+            assert np.array_equal(rows, np.stack([f.values.reshape(-1) for f in want]))
+            if seed is not None:
+                states = [r.bit_generator.state for r in rngs]
+                assert states[0] == states[1] == states[2] == states[3]
+    # the stack spans extensions of one module, each in turn
+    m = mods["Z3-Z3-a0"]
+    pair = [coinduced_xext(m, (1,)), coinduced_xext(m, (2,))]
+    rngs = [np.random.default_rng(7) for _ in range(2)]
+    got = classes_of_crossed_extensions(pair, rngs[0], 3)
+    assert got == [class_of_crossed_extension(e, rngs[1]) for e in pair for _ in range(3)]
+    assert [c.coords for c in got] == [(1,)] * 3 + [(2,)] * 3
+    with pytest.raises(ModuleMismatch):
+        classes_of_crossed_extensions([pair[0], unit_xext(mods["Z3-Z2-a0"])])
+
+
+def _failure(call):
+    try:
+        call()
+    except BflyError as err:
+        return type(err), str(err)
+    return None
+
+
+def _stack_and_one_row_failures(exts, seed: int, count: int):
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+
+    def one_row_calls():
+        for e in exts:
+            for _ in range(count):
+                class_of_crossed_extension(e, rngs[1])
+
+    return (_failure(lambda: classes_of_crossed_extensions(exts, rngs[0], count)),
+            _failure(one_row_calls))
+
+
+def test_stack_raises_what_the_one_row_path_raises_first(modules):
+    mods = dict(modules)
+    outside_j = (LawViolation, "associativity defect outside j(B)")
+    not_cocycle = (NotACocycle, "not a cocycle")
+    trivial_j = lambda e: dataclasses.replace(  # noqa: E731
+        e, j=_hom(trivial_group(), e.e2, [0]))
+    # one bad row: the defect leaves j(B) for some draws, after good rows
+    cut = trivial_j(coinduced_xext(mods["Z3-Z2-a0"], (0,)))
+    rows, failure = _crossed_cocycle_rows(cut, np.random.default_rng(1), 6)
+    assert 0 < len(rows) < 6 and failure == outside_j[1]
+    assert _stack_and_one_row_failures([cut], 1, 6) == (outside_j, outside_j)
+    # one bad row: a cocycle of the trivial Z4-Z3 module read in the twisted
+    # one, where a seeded section pair makes it no cocycle
+    twisted = mods["Z4-Z3-a1"]
+    misread = dataclasses.replace(coinduced_xext(mods["Z4-Z3-a0"], (0,)), module=twisted)
+    unit = unit_xext(twisted)
+    assert _stack_and_one_row_failures([unit, misread], 1, 2) == (not_cocycle, not_cocycle)
+    # two bad rows of either kind: the first one's failure is raised
+    assert _stack_and_one_row_failures([misread, trivial_j(misread)], 1, 1) == (
+        not_cocycle, not_cocycle)
+    assert _stack_and_one_row_failures([trivial_j(misread), misread], 1, 1) == (
+        outside_j, outside_j)
+
+
+def test_cocycles_match_the_row_major_loop(modules):
+    n = 0
+    for name, m in modules:
+        for degree in (1, 2, 3):
+            if m.coeff.order ** ((m.base.order - 1) ** degree) > BRUTE_FORCE_CAP:
+                continue
+            got, want = _cocycles(m, degree), ref_cocycles(m, degree)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, degree)
+            n += 1
+    assert n == 22 * 2 + 5 + 3
+
+
+def test_cocycles_checks_every_column_constraining_ones_first(modules, monkeypatch):
+    """Tuples with a zero entry drop no normalized candidate; they are still
+    checked, after the tuples that can drop one."""
+    import bfly.cohomology as coh
+
+    checked = []
+    real = coh._coboundary_values
+
+    def spy(module, degree, rows, cols=slice(None)):
+        checked.extend(int(c) for c in cols)
+        return real(module, degree, rows, cols)
+
+    monkeypatch.setattr(coh, "_coboundary_values", spy)
+    mods = dict(modules)
+    for name, degree in [("Z3-Z4-a0", 3), ("K4-Z2-a0", 2), ("Z4-Z3-a1", 1)]:
+        m = mods[name]
+        checked.clear()
+        coh._cocycles(m, degree)
+        mask = coh._nonzero_mask(m.base.order, degree + 1)
+        assert checked == np.flatnonzero(mask).tolist() + np.flatnonzero(~mask).tolist()
+
+
+def test_vector_and_cochain_gathers_match_the_loops(modules):
+    """_vector and _cochain against the loops they replaced, on every class
+    of H1..H3 of every standard module."""
+    n = 0
+    for name, m in modules:
+        for degree in (1, 2, 3):
+            g = cohomology(m, degree)
+            gens = [i for i, s in enumerate(g._sdiag) if s > 1]
+            reps = []
+            for coords in itertools.product(*[range(f) for f in g.factors]):
+                v = np.zeros(g._basis.shape[0], dtype=object)
+                for c, i in zip(coords, gens):
+                    v += c * g._basis[:, i]
+                f = g._cochain(v)
+                assert f == ref_cochain(g, v) == g.representative(coords), (name, degree)
+                reps.append(f)
+            stack = g._vector(np.stack([f.values.reshape(-1) for f in reps]))
+            assert stack.dtype == object and stack.shape == (g._basis.shape[0], len(reps))
+            for col, f in zip(stack.T, reps):
+                assert np.array_equal(col, ref_vector(g, f)), (name, degree)
+            n += len(reps)
+    assert n > 22 * 3
 
 
 def test_bridge_rejects_a_defect_outside_the_kernel(z2_z2_triv):

@@ -315,7 +315,7 @@ def test_classify_matches_solving_against_the_adapted_basis():
     from bfly.cohomology import cohomology
 
     def direct(group, f):
-        y = solve_integer(group._basis, group._vector(f))
+        y = solve_integer(group._basis, group._vector(f.values.reshape(1, -1))[:, 0])
         return tuple(int(y[i]) % s for i, s in enumerate(group._sdiag) if s > 1)
 
     modules = standard_modules()
