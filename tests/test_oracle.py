@@ -610,7 +610,7 @@ def test_cocycles_match_the_row_major_loop(modules):
             got, want = _cocycles(m, degree), ref_cocycles(m, degree)
             assert got.dtype == want.dtype and np.array_equal(got, want), (name, degree)
             n += 1
-    assert n == 22 * 2 + 5 + 3
+    assert n == 22 * 2 + 5 + 3     # degrees 1 and 2 everywhere, 3 over Z2 and Z3
 
 
 def test_cocycles_checks_every_column_constraining_ones_first(modules, monkeypatch):
