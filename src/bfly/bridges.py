@@ -191,7 +191,19 @@ def map_cochain(beta: CModuleMorphism, f: Cochain) -> Cochain:
     return build_cochain(beta.cod, f.degree, beta.hom.map[f.values])
 
 
+def push_classes(
+    betas: list[CModuleMorphism], classes: list[CocycleClass]
+) -> list[CocycleClass]:
+    """Induced maps on cohomology, computed on representatives, in one stack.
+
+    The betas share one codomain; the classes come beta by beta, each
+    beta's in the order of ``classes``.
+    """
+    reps = [cls.representative for cls in classes]
+    rows = [map_cochain(beta, f).values.reshape(-1) for beta in betas for f in reps]
+    return cohomology(betas[0].cod, reps[0].degree).classify_rows(np.stack(rows))
+
+
 def push_class(beta: CModuleMorphism, cls: CocycleClass) -> CocycleClass:
     """Induced map on cohomology, computed on a representative."""
-    f = cls.representative
-    return cohomology(beta.cod, f.degree).classify(map_cochain(beta, f))
+    return push_classes([beta], [cls])[0]

@@ -8,6 +8,8 @@ deterministic so reports are reproducible.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .actions import (
@@ -72,6 +74,12 @@ def all_actions(c: FiniteGroup, b: FiniteGroup) -> list[GroupAction]:
 
 
 def standard_modules() -> list[tuple[str, CModule]]:
+    """The 22 named modules; a fresh list of the modules built once per process."""
+    return list(_standard_modules())
+
+
+@lru_cache(maxsize=1)
+def _standard_modules() -> tuple[tuple[str, CModule], ...]:
     groups = standard_groups()
     out = []
     for cname in ["Z2", "Z3", "Z4", "K4"]:
@@ -79,7 +87,7 @@ def standard_modules() -> list[tuple[str, CModule]]:
             c, b = groups[cname], groups[bname]
             for i, act in enumerate(all_actions(c, b)):
                 out.append((f"{cname}-{bname}-a{i}", build_cmodule(c, b, act.act)))
-    return out
+    return tuple(out)
 
 
 def h2_catalog(module: CModule) -> list[AbelianExtension]:

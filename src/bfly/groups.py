@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -481,6 +481,17 @@ def is_short_exact(kappa: GroupHom, gamma: GroupHom) -> bool:
 def all_homs(g: FiniteGroup, h: FiniteGroup, limit: int | None = None) -> list[GroupHom]:
     """All homomorphisms G -> H, sorted lexicographically by value table.
 
+    The value tables come from ``_hom_rows``, a bounded memo keyed by the
+    two tables, so each distinct pair is searched and checked once per
+    process; the homs are built around the caller's ``g`` and ``h``.
+    """
+    return [_hom(g, h, m) for m in _hom_rows(g, h)[:limit]]
+
+
+@lru_cache(maxsize=64)
+def _hom_rows(g: FiniteGroup, h: FiniteGroup) -> np.ndarray:
+    """Value tables of all homomorphisms G -> H, sorted, as read-only rows.
+
     Candidates are the rows of one array, -1 where a value is not yet known.
     Generators are added one at a time, each the least element outside the
     subgroup generated so far, and each sent to every element of H whose
@@ -515,10 +526,11 @@ def all_homs(g: FiniteGroup, h: FiniteGroup, limit: int | None = None) -> list[G
             rows = rows[(rows[:, targets] == values).all(axis=1)]
             frontier = np.flatnonzero(~known & _membership(g, targets[fresh]))
             known[frontier] = True
-    rows = rows[np.lexsort(rows.T[::-1])][:limit]
+    rows = rows[np.lexsort(rows.T[::-1])]
     require(_kernels.homs_violation(g.table, h.table, rows) is None,
             "the generator walk admitted a non-homomorphism")
-    return [_hom(g, h, m) for m in rows]
+    rows.setflags(write=False)
+    return rows
 
 
 def find_isomorphisms(

@@ -8,7 +8,6 @@ constructors, so a loaded document is always a validated object.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -305,6 +304,8 @@ def save_document(path: str | Path, obj) -> None:
 
 
 def sha256_file(path: Path) -> str:
+    import hashlib     # only manifests need it; most commands never do
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

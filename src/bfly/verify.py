@@ -23,7 +23,7 @@ from .bridges import (
     classes_of_crossed_extensions,
     cocycle_of_extension,
     extension_from_2cocycle,
-    push_class,
+    push_classes,
 )
 from .butterflies import (
     compose_butterflies,
@@ -447,6 +447,30 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
 # --- criterion 9 ----------------------------------------------------------
 
 
+def _pushforward_equivariant(m, cat, mods) -> str:
+    """Class of a pushforward = pushed class, for the first three extensions
+    along the first two morphisms into the first other module over m's base.
+
+    The extensions' classes, the pushed classes and, per morphism, the
+    pushforwards' classes are each classified as one stack.
+    """
+    n = 0
+    for name2, m2 in mods:
+        if m2.base != m.base or m2 == m:
+            continue
+        head = cat[:3]
+        betas = all_module_morphisms(m, m2)[:2]
+        pushed = push_classes(betas, classes_of_crossed_extensions([e for _, e in head]))
+        for k, beta in enumerate(betas):
+            results = [pushforward_xext(e, beta)[0] for _, e in head]
+            lhs = classes_of_crossed_extensions(results)
+            for (ename, _), got, want in zip(head, lhs, pushed[k * len(head):]):
+                require(got == want, f"{ename} along {name2}")
+                n += 1
+        break
+    return f"{n} pushforwards"
+
+
 def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     mods = standard_modules()
@@ -499,21 +523,8 @@ def suite_class_coherence(seed: int = 0) -> list[CheckResult]:
             return f"{n} extensions"
         _check(out, f"oracle:class:inverse-law:{name}", inverse_law)
 
-        def pushforward_equivariant(cat=cat, m=m):
-            n = 0
-            for name2, m2 in mods:
-                if m2.base != m.base or m2 == m:
-                    continue
-                for beta in all_module_morphisms(m, m2)[:2]:
-                    for ename, e in cat[:3]:
-                        result, _ = pushforward_xext(e, beta)
-                        lhs = class_of_crossed_extension(result)
-                        rhs = push_class(beta, class_of_crossed_extension(e))
-                        require(lhs == rhs, f"{ename} along {name2}")
-                        n += 1
-                break
-            return f"{n} pushforwards"
-        _check(out, f"oracle:class:pushforward-equivariant:{name}", pushforward_equivariant)
+        _check(out, f"oracle:class:pushforward-equivariant:{name}",
+               lambda cat=cat, m=m: _pushforward_equivariant(m, cat, mods))
 
         def realized(cat=cat, h3=h3):
             found = classes_of_crossed_extensions([e for _, e in cat])

@@ -802,3 +802,27 @@ def ref_cocycles(module, degree: int) -> np.ndarray:
         if not keep.all():
             v = v[keep]
     return v
+
+
+def ref_pushforward_equivariant(m, cat, mods):
+    """verify's pushforward-equivariant check before the stacks: one class at a time."""
+    from bfly.actions import all_module_morphisms
+    from bfly.bridges import class_of_crossed_extension, map_cochain
+    from bfly.butterflies import pushforward_xext
+    from bfly.cohomology import cohomology
+    from bfly.errors import require
+
+    n = 0
+    for name2, m2 in mods:
+        if m2.base != m.base or m2 == m:
+            continue
+        for beta in all_module_morphisms(m, m2)[:2]:
+            for ename, e in cat[:3]:
+                result, _ = pushforward_xext(e, beta)
+                lhs = class_of_crossed_extension(result)
+                f = class_of_crossed_extension(e).representative
+                rhs = cohomology(beta.cod, 3).classify(map_cochain(beta, f))
+                require(lhs == rhs, f"{ename} along {name2}")
+                n += 1
+        break
+    return f"{n} pushforwards"

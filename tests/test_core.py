@@ -506,3 +506,108 @@ def test_quotients_and_cooperators_match_the_loops(s3):
             assert got == outcome(ref_cooperator, kappa, iota), hn
             raised.add(got[0] if isinstance(got, tuple) else None)
     assert {None, NotHomomorphism, ImagesDoNotCommute} <= raised
+
+
+# --- memoized searches ----------------------------------------------------
+
+
+def test_all_homs_builds_around_the_callers_groups(s3):
+    """An equal but distinct pair hits the memo and still gets its own dom, cod and names."""
+    from bfly.groups import _hom_rows
+
+    first = all_homs(build_group(s3.table, name="A"), build_group(s3.table, name="B"))
+    g, h = build_group(s3.table, name="G"), build_group(s3.table, name="H")
+    hits = _hom_rows.cache_info().hits
+    homs = all_homs(g, h)
+    assert _hom_rows.cache_info().hits == hits + 1
+    assert [f.map.tolist() for f in homs] == [f.map.tolist() for f in first]
+    assert all(f.dom is g and f.cod is h for f in homs)
+    assert {f.dom.name for f in homs} == {"G"} and {f.cod.name for f in homs} == {"H"}
+    rows = _hom_rows(g, h)
+    assert not rows.flags.writeable and not homs[0].map.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+
+
+def test_hom_memo_is_bounded():
+    from bfly.groups import _hom_rows
+
+    assert _hom_rows.cache_info().maxsize is not None
+
+
+def test_each_pair_is_walked_once_per_process(monkeypatch):
+    """During h2-pi1 the walk and its homs_violation check run once per pair of tables.
+
+    Its searches are the catalog's Aut(B) and Hom(C, Aut B), so both memos
+    start empty.
+    """
+    import collections
+
+    from bfly import _kernels, catalog, groups
+    from bfly.verify import run_suite
+
+    walks = collections.Counter()
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(_kernels, name)
+
+        def homs_violation(self, g_table, h_table, rows):
+            walks[g_table.tobytes(), h_table.tobytes()] += 1
+            return _kernels.homs_violation(g_table, h_table, rows)
+
+    catalog._standard_modules.cache_clear()
+    groups._hom_rows.cache_clear()
+    monkeypatch.setattr(groups, "_kernels", Spy())
+    assert all(r.passed for r in run_suite("h2-pi1"))
+    assert walks and max(walks.values()) == 1
+
+
+def test_standard_modules_returns_a_fresh_list():
+    from bfly.catalog import standard_modules
+
+    mods = standard_modules()
+    assert len(mods) == 22
+    mods.append(("extra", mods[0][1]))
+    mods[0] = ("renamed", mods[0][1])
+    again = standard_modules()
+    assert len(again) == 22 and again[0][0] == "Z2-Z2-a0"
+
+
+def test_pushforward_equivariance_stacked_matches_one_at_a_time(monkeypatch):
+    """The stacked check gives the one-at-a-time detail, and the same first failure."""
+    from reference_loops import ref_pushforward_equivariant
+
+    from bfly import verify
+    from bfly.butterflies import pushforward_xext
+    from bfly.catalog import h3_catalog, nontrivial_class_xext, standard_modules
+
+    mods = standard_modules()
+    cats = {name: h3_catalog(m, mods) for name, m in mods}
+    for name, m in mods:
+        got = verify._pushforward_equivariant(m, cats[name], mods)
+        assert got == ref_pushforward_equivariant(m, cats[name], mods), name
+    # the catalog's first three classes are zero; lead with the nonzero one
+    # and push it along Z2 -> Z4, x -> 2x, which keeps it nonzero
+    named = dict(cats["Z2-Z2-a0"])
+    cat = [(k, named[k]) for k in ("spliced-nontrivial", "unit", "spliced-trivial")]
+    into = [("Z2-Z4-a0", dict(mods)["Z2-Z4-a0"])]
+    m = dict(mods)["Z2-Z2-a0"]
+    assert verify._pushforward_equivariant(m, cat, into) == "6 pushforwards"
+    assert ref_pushforward_equivariant(m, cat, into) == "6 pushforwards"
+
+    # a wrong pushforward for the second extension along a nonzero morphism
+    def broken(e, beta):
+        if e is cats["Z2-Z4-a0"][1][1] and not beta.hom.is_zero():
+            return nontrivial_class_xext(), None
+        return pushforward_xext(e, beta)
+
+    monkeypatch.setattr(verify, "pushforward_xext", broken)
+    monkeypatch.setattr("bfly.butterflies.pushforward_xext", broken)
+    m = dict(mods)["Z2-Z4-a0"]
+    failures = []
+    for fn in (verify._pushforward_equivariant, ref_pushforward_equivariant):
+        with pytest.raises(LawViolation) as exc:
+            fn(m, cats["Z2-Z4-a0"], mods)
+        failures.append(str(exc.value))
+    assert failures == ["tensor-unit-unit along Z2-Z2-a0"] * 2
