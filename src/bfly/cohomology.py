@@ -255,7 +255,9 @@ class CohomologyGroup:
     _sdiag: tuple[int, ...]             # elementary divisors along _basis
     # the rest follows from (module, degree), so == and hash skip it
     _basis: np.ndarray = field(compare=False)               # adapted cocycle lattice basis
-    _basis_snf: SmithDecomposition = field(compare=False)   # U, S, V of _basis
+    # U @ _basis @ V = S: U and S come from the elimination that found the
+    # cocycle lattice, and V is the change to the adapted basis
+    _basis_snf: SmithDecomposition = field(compare=False)
     _dec: CyclicDecomposition = field(compare=False)
     _cols: np.ndarray = field(compare=False)    # flat index of each nonzero tuple
 
@@ -389,7 +391,7 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     # the unknown-space moduli always lie in the cocycle lattice
     col_mods = np.diag(np.array(_moduli(dec, len(cols)), dtype=object))
     coc_gens = np.concatenate([proj, col_mods], axis=1)
-    basis = column_lattice_basis(coc_gens)
+    basis, lattice = column_lattice_basis(coc_gens)
     require(basis.shape == (n_unknowns, n_unknowns))
 
     d_down = _coboundary_matrix(module, dec, degree - 1)
@@ -397,7 +399,6 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
 
     # express coboundaries in the cocycle basis and read off the quotient;
     # the basis is square and nonsingular, so each solution is unique
-    lattice = smith_normal_form(basis, "u v")
     x = solve_integer(basis, cob_gens, dec=lattice)
     require(x is not None, "coboundary outside the cocycle lattice")
     dec_x = smith_normal_form(x, "u uinv")
@@ -407,10 +408,8 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     )
     require(all(s > 0 for s in sdiag), "coboundary lattice not full rank")
     adapted = basis @ dec_x.uinv
-    # U @ basis @ V = S gives U @ adapted @ (dec_x.u @ V) = S
-    adapted_snf = SmithDecomposition(
-        u=lattice.u, s=lattice.s, v=dec_x.u @ lattice.v, uinv=None, vinv=None
-    )
+    # U @ basis = S (V is the identity) gives U @ adapted @ dec_x.u = S
+    adapted_snf = SmithDecomposition(u=lattice.u, s=lattice.s, v=dec_x.u, uinv=None, vinv=None)
     result = CohomologyGroup(
         module=module,
         degree=degree,

@@ -8,6 +8,10 @@ its output is exact at any size.  Each pivot's sweeps touch only the rows
 and columns whose cross entry is nonzero, and a caller names the
 transforms it reads, so the work follows the nonzeros of the sparse
 coboundary matrices this library factors (a few hundred rows at most).
+The pivot step costs a few numpy calls: U rides beside S as one array
+[S | U], the pivot is looked for in the pivot row before the whole block,
+and at a pivot of least size the column sweep just clears the pivot row
+of S.
 """
 
 from __future__ import annotations
@@ -78,154 +82,187 @@ def _smallest(a: np.ndarray, g) -> int:
     return int(nonzero[mag[nonzero].argmin()]) if nonzero.size else -1
 
 
-_ROWS, _COLS = ("u", "uinv"), ("v", "vinv")
-
-
 def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
     """Textbook elimination (Cohen, GTM 138, §2.4.4) with exact output.
 
     ``track`` names the transforms to compute, from "u v uinv vinv"; the
     others are None, and U, S, V, U^-1 and V^-1 are the same whichever
-    are tracked.  Each pivot's row sweep and column sweep is one rank-1
-    update on the rows (columns) whose cross entry is nonzero, since the
-    pivot row (column) does not change during its sweep, and S changes
-    only inside the active block, whose complement is already zero.
-    Every entry of the active block is a multiple of the last pivot g, so
-    at a pivot of size g the sweeps clear the cross and leave only
-    multiples of it: neither the remainders nor divisibility is scanned.
-    The arrays are int64 while a running bound on each array shows that
-    every update stays below 2**62; when a bound would reach it, the
-    array's exact maximum replaces the bound, and if that fails too the
-    arrays are widened to Python ints, once, for the rest.
+    are tracked.  U is held right of S as one array [S | U], so each row
+    sweep, row swap and sign flip is one operation on both.  Each pivot's
+    row sweep and column sweep is one rank-1 update on the rows (columns)
+    whose cross entry is nonzero, since the pivot row (column) does not
+    change during its sweep, and S changes only inside the active block,
+    whose complement is already zero.  Every entry of the active block is
+    a multiple of the last pivot g, so the pivot, the row-major first
+    entry of least size, is the first entry of size g in row t whenever
+    row t has one; only otherwise is the whole block scanned.  At a pivot
+    of size g the row sweep clears column t, so the column sweep on S
+    just clears row t, and only V and V^-1 follow it; neither the
+    remainders nor divisibility is scanned.  The arrays are int64 while a
+    running bound on each array ([S | U] shares one) shows that every
+    update stays below 2**62; when a bound would reach it, the array's
+    exact maximum replaces the bound, and if that fails too the arrays
+    are widened to Python ints, once, for the rest.
     """
     s = _obj(a)
     smax = _absmax(s)
-    s = s.astype(np.int64) if smax < _WIDE_INPUT else s.copy()
+    s = s.astype(np.int64) if smax < _WIDE_INPUT else s
     m, n = s.shape
-    # U and U^-1 follow the row operations on S, V and V^-1 the column
-    # operations.  V and U^-1 are held transposed, so that each pair
-    # follows with X[rows] += q (x) X[t] and Y[t] -= q @ Y[rows].
-    x = {name: np.eye(m if name in _ROWS else n, dtype=s.dtype) for name in track.split()}
+    tracked = track.split()
+    if "u" in tracked:
+        s = np.concatenate([s, np.eye(m, dtype=s.dtype)], axis=1)
+    # x["su"] is [S | U].  U^-1 follows the row operations on S too, and V
+    # and V^-1 follow the column operations.  V and U^-1 are held
+    # transposed, so that each follows with X[rows] += q (x) X[t] and
+    # Y[t] -= q @ Y[rows].
+    x = {"su": s} | {
+        name: np.eye(m if name == "uinv" else n, dtype=s.dtype)
+        for name in ("uinv", "v", "vinv")
+        if name in tracked
+    }
+    follow_cols = "v" in x or "vinv" in x
     # an upper bound on |entry| of each array
-    bound = {"s": smax} | dict.fromkeys(x, 1)
+    bound = dict.fromkeys(x, 1) | {"su": max(smax, 1)}
 
-    def room(qmax: int, *updates) -> None:
-        """Widen unless each (array name, k) update keeps its bound."""
-        nonlocal s
-        if s.dtype == object:
-            return
+    def room(qmax: int, *updates) -> bool:
+        """Widen unless each (array name, k) update keeps its bound.
+
+        Returns True if it widened the arrays.
+        """
+        if x["su"].dtype == object:
+            return False
         for name, k in updates:
             if name not in bound:
                 continue
             grown = _grown(bound[name], qmax, k)
             if grown >= _WORD_BOUND:
-                grown = _grown(_absmax(x[name] if name in x else s), qmax, k)
+                grown = _grown(_absmax(x[name]), qmax, k)
             if grown >= _WORD_BOUND:
-                s = s.astype(object)
                 for key in x:
                     x[key] = x[key].astype(object)
-                return
+                return True
             bound[name] = grown
+        return False
 
-    def follow(pair, rows, src: int, q) -> None:
-        fwd, inv = pair
-        if fwd in x:
-            x[fwd][rows] += q[:, None] * x[fwd][src]
-        if inv in x:
-            x[inv][src] -= q @ x[inv][rows]
+    def row_swap(i: int, names=("su", "uinv")) -> None:
+        # rows t and i >= t of S are zero left of column t
+        if i != t:
+            for name in names:
+                if name in x:
+                    a = x[name]
+                    row = a[i].copy()
+                    a[i], a[t] = a[t], row
 
-    def swap(pair, i: int, j: int) -> None:
-        for name in pair:
-            if name in x:
-                x[name][[i, j]] = x[name][[j, i]]
+    def col_swap(j: int) -> None:
+        if j != t:
+            s = x["su"]
+            col = s[t:, j].copy()
+            s[t:, j], s[t:, t] = s[t:, t], col
+            row_swap(j, ("v", "vinv"))
 
-    def row_swap(i, j):
-        if i != j:
-            s[[i, j], t:] = s[[j, i], t:]
-            swap(_ROWS, i, j)
-
-    def col_swap(i, j):
-        if i != j:
-            s[t:, [i, j]] = s[t:, [j, i]]
-            swap(_COLS, i, j)
-
-    def sweep_rows():
-        # row_i += q_i * row_t for every i > t with q_i != 0
-        q = -(s[t + 1:, t] // s[t, t])
-        rows = q.nonzero()[0]
+    def sweep_rows() -> None:
+        # row_i += q_i * row_t for every i > t with s[i, t] != 0
+        s = x["su"]
+        rows = t + 1 + s[t + 1:, t].nonzero()[0]
         if not rows.size:
             return
-        q, rows = q[rows], rows + (t + 1)
+        q = -(s[rows, t] // s[t, t])
+        if room(max(abs(q).tolist()), ("su", 1), ("uinv", len(rows))):
+            s, q = x["su"], q.astype(object)
         cols = t + s[t, t:].nonzero()[0]
-        room(_absmax(q), ("s", 1), ("u", 1), ("uinv", len(rows)))
-        q = q.astype(s.dtype, copy=False)
         s[rows[:, None], cols] += q[:, None] * s[t, cols]
-        follow(_ROWS, rows, t, q)
+        if "uinv" in x:
+            x["uinv"][t] -= q @ x["uinv"][rows]
 
-    def sweep_cols():
-        # col_j += q_j * col_t for every j > t with q_j != 0
-        q = -(s[t, t + 1:] // s[t, t])
-        cols = q.nonzero()[0]
+    def sweep_cols(cleared: bool) -> None:
+        # col_j += q_j * col_t for every j > t with s[t, j] != 0; once the
+        # row sweep has cleared column t, this only clears row t of S
+        s = x["su"]
+        if cleared and not follow_cols:
+            s[t, t + 1:n] = 0
+            return
+        cols = t + 1 + s[t, t + 1:n].nonzero()[0]
         if not cols.size:
             return
-        q, cols = q[cols], cols + (t + 1)
-        rows = t + s[t:, t].nonzero()[0]
-        room(_absmax(q), ("s", 1), ("v", 1), ("vinv", len(cols)))
-        q = q.astype(s.dtype, copy=False)
-        s[rows[:, None], cols] += s[rows, t, None] * q
-        follow(_COLS, cols, t, q)
+        q = -(s[t, cols] // s[t, t])
+        if room(max(abs(q).tolist()), ("su", int(not cleared)), ("v", 1), ("vinv", len(cols))):
+            s, q = x["su"], q.astype(object)
+        if cleared:
+            s[t, cols] = 0
+        else:
+            rows = t + s[t:, t].nonzero()[0]
+            s[rows[:, None], cols] += s[rows, t, None] * q
+        if "v" in x:
+            x["v"][cols] += q[:, None] * x["v"][t]
+        if "vinv" in x:
+            x["vinv"][t] -= q @ x["vinv"][cols]
 
     t, g = 0, 1     # g divides every entry of the active block s[t:, t:]
     while t < min(m, n):
-        # a pivot of minimal absolute value in the remaining block
-        flat = _smallest(s[t:, t:], g)
-        if flat < 0:
-            break
-        i, j = divmod(flat, n - t)
-        row_swap(t, t + i)
-        col_swap(t, t + j)
+        s = x["su"]
+        mag = np.abs(s[t, t:n])
+        i, j = t, t + int((mag == g).argmax())
+        if mag[j - t] != g:
+            # no entry of size g in row t: the least in the whole block
+            flat = _smallest(s[t:, t:n], g)
+            if flat < 0:
+                break
+            i, j = divmod(flat, n - t)
+            i, j = t + i, t + j
+        row_swap(i)
+        col_swap(j)
         while True:
             sweep_rows()
-            sweep_cols()
+            s = x["su"]
             if abs(s[t, t]) == g:
-                # the cross held multiples of g, so it is clear now
+                # column t held multiples of g, so the row sweep cleared it
+                sweep_cols(True)
                 break
+            sweep_cols(False)
             # the cross now holds the remainders mod the pivot
-            if s[t + 1:, t].any() or s[t, t + 1:].any():
+            s = x["su"]
+            if s[t + 1:, t].any() or s[t, t + 1:n].any():
                 # pivot changed size; re-select minimal entry in the cross
                 old = abs(s[t, t])
                 i = t + _smallest(s[t:, t], g)
-                j = t + _smallest(s[t, t:], g)
+                j = t + _smallest(s[t, t:n], g)
                 if abs(s[t, j]) < abs(s[i, t]):
                     i = t
                 else:
                     j = t
-                row_swap(t, i)
-                col_swap(t, j)
+                row_swap(i)
+                col_swap(j)
                 # remainders are smaller than the old pivot, so this ends
                 require(abs(s[t, t]) < old, "Smith pivot did not shrink")
                 continue
             # enforce divisibility against the rest of the block
-            offenders = (s[t + 1:, t + 1:] % s[t, t] != 0).any(axis=1).nonzero()[0]
+            offenders = (s[t + 1:, t + 1:n] % s[t, t] != 0).any(axis=1).nonzero()[0]
             if not offenders.size:
                 break
             # row_t += row_o for the first row o holding a non-multiple
             o = t + 1 + int(offenders[0])
-            room(1, ("s", 1), ("u", 1), ("uinv", 1))
+            room(1, ("su", 1), ("uinv", 1))
+            s = x["su"]
             s[t, t:] += s[o, t:]
-            follow(_ROWS, [t], o, np.ones(1, dtype=s.dtype))
+            if "uinv" in x:
+                x["uinv"][o] -= x["uinv"][t]
+        s = x["su"]
         if s[t, t] < 0:
-            # the cross is clear, so row t holds only the pivot
-            s[t, t] = -s[t, t]
-            for name in _ROWS:
-                if name in x:
-                    x[name][t] = -x[name][t]
+            # the cross is clear, so row t of S holds only the pivot
+            s[t] = -s[t]
+            if "uinv" in x:
+                x["uinv"][t] = -x["uinv"][t]
         t, g = t + 1, s[t, t]
 
-    out = dict.fromkeys(_TRANSFORMS.split())
-    for name, held in x.items():
-        out[name] = held.T.astype(object) if name in ("v", "uinv") else held.astype(object)
-    return SmithDecomposition(s=s.astype(object), **out)
+    su = x.pop("su")
+    x["s"] = su[:, :n]
+    if "u" in tracked:
+        x["u"] = su[:, n:]
+    for name in ("v", "uinv"):
+        if name in x:
+            x[name] = x[name].T
+    out = dict.fromkeys(_TRANSFORMS.split()) | {k: v.astype(object) for k, v in x.items()}
+    return SmithDecomposition(**out)
 
 
 def integer_kernel(a) -> np.ndarray:
@@ -267,22 +304,16 @@ def solve_integer(a, b, dec: SmithDecomposition | None = None):
     return x if rhs.ndim > 1 else x.reshape(-1)
 
 
-def column_lattice_basis(a) -> np.ndarray:
-    """A full set of independent generators for the column span of A."""
-    arr = _obj(a)
-    dec = smith_normal_form(arr, "uinv")
-    m = arr.shape[0]
-    k = min(arr.shape)
-    # columns of Uinv scaled by the invariant factors span the lattice
-    cols = []
-    for i in range(k):
-        if dec.s[i, i] != 0:
-            cols.append(dec.uinv[:, i] * dec.s[i, i])
-    if not cols:
-        return np.zeros((m, 0), dtype=object)
-    return np.stack(cols, axis=1)
+def column_lattice_basis(a) -> tuple[np.ndarray, SmithDecomposition]:
+    """Independent generators B of the column span of A, with B factored.
 
-
-def in_column_lattice(a, b) -> bool:
-    """True iff b is an integer combination of the columns of A."""
-    return solve_integer(a, b) is not None
+    The columns of U^-1 scaled by the nonzero invariant factors of A span
+    its column lattice, so B = U^-1 S' for the columns S' of S that hold
+    them, and U @ B @ I = S' is a Smith normal form of B.
+    """
+    dec = smith_normal_form(a, "u uinv")
+    rank = int(np.count_nonzero(np.diagonal(dec.s)))
+    s = dec.s[:, :rank]     # the nonzero invariant factors come first
+    eye = np.eye(rank, dtype=object)
+    basis = dec.uinv[:, :rank] * np.diagonal(s)
+    return basis, SmithDecomposition(u=dec.u, s=s, v=eye, uinv=dec.uinv, vinv=eye)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfly import snf
 from bfly.snf import (
     SmithDecomposition,
     _WORD_BOUND,
     _grown,
     _obj,
     column_lattice_basis,
-    in_column_lattice,
     integer_kernel,
     smith_normal_form,
     solve_integer,
@@ -92,9 +92,9 @@ def test_known_invariant_factors():
 
 def test_column_lattice_membership():
     a = np.array([[2, 0], [0, 3]], dtype=object)
-    assert in_column_lattice(a, np.array([4, 9], dtype=object))
-    assert not in_column_lattice(a, np.array([1, 0], dtype=object))
-    basis = column_lattice_basis(a)
+    assert solve_integer(a, np.array([4, 9], dtype=object)) is not None
+    assert solve_integer(a, np.array([1, 0], dtype=object)) is None
+    basis, _ = column_lattice_basis(a)
     assert basis.shape == (2, 2)
 
 
@@ -295,10 +295,100 @@ def test_snf_widens_part_way_and_stays_exact():
 
 
 def test_word_bound_counts_every_term_of_a_product():
-    """A matrix-vector product adds len(q) terms into each entry."""
+    """A matrix-vector product adds len(q) terms into each entry, and the
+    bound that S and U share as [S | U] counts U's growth too."""
     assert _grown(2**30, 2**31, 1) < _WORD_BOUND
     assert _grown(2**30, 2**31, 4) >= _WORD_BOUND
     assert _grown(5, 2, 3) == 5 + 3 * 2 * 5
+    # the unit lower bidiagonal matrix with n below the diagonal: S stays
+    # the identity, entries below 2**31, while U's corner reaches -n**3
+    n = 2**31 - 1
+    a = np.eye(4, dtype=object) + np.diag([n] * 3, -1).astype(object)
+    ref = reference_snf(a)
+    assert np.array_equal(ref.s, np.eye(4, dtype=object))
+    assert ref.u[3, 0] == -(n**3) and -(n**3) < -_WORD_BOUND
+    _assert_same(smith_normal_form(a), ref)
+    _assert_tracked(a, ref)
+
+
+@st.composite
+def stacked_moduli(draw):
+    """[A | m I], the shape cohomology() factors: the unit entries of A
+    give unit pivots first, then the moduli give pivots of size m."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    mod = draw(st.sampled_from([2, 3, 4, 6, 8, 9]))
+    a = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    a = np.array(a, dtype=object).reshape(rows, cols)
+    return np.concatenate([a, mod * np.eye(rows, dtype=object)], axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_moduli())
+def test_stacked_moduli_match_cell_by_cell_elimination(a):
+    ref = reference_snf(a)
+    _assert_same(smith_normal_form(a), ref)
+    _assert_tracked(a, ref)
+
+
+@st.composite
+def no_unit_in_row_zero(draw):
+    """A matrix with an entry of size 1 below row 0 and none in row 0."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    non_units = st.sampled_from([0, 2, -2, 3, -3, 4, 6, -9])
+    first = draw(st.lists(non_units, min_size=cols, max_size=cols))
+    rest = draw(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+            min_size=rows - 1,
+            max_size=rows - 1,
+        )
+    )
+    a = np.array([first] + rest, dtype=object)
+    a[draw(st.integers(1, rows - 1)), draw(st.integers(0, cols - 1))] = draw(
+        st.sampled_from([1, -1])
+    )
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(no_unit_in_row_zero())
+def test_pivot_search_falls_back_to_the_block_scan(a):
+    """Row 0 has no entry of size g = 1, so the first pivot search scans
+    the whole matrix, and the pivot is the row-major first unit below."""
+    scanned = []
+    smallest = snf._smallest
+
+    def spy(block, g):
+        scanned.append(block.shape)
+        return smallest(block, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snf, "_smallest", spy)
+        dec = smith_normal_form(a)
+    assert scanned[0] == a.shape
+    ref = reference_snf(a)
+    _assert_same(dec, ref)
+    _assert_tracked(a, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_column_lattice_basis_comes_factored(rows):
+    """The basis spans the columns of A, and U @ B @ V = S factors it."""
+    a = np.array(rows, dtype=object)
+    basis, dec = column_lattice_basis(a)
+    assert np.array_equal(dec.u @ basis @ dec.v, dec.s)
+    assert np.array_equal(dec.u @ dec.uinv, np.eye(a.shape[0], dtype=object))
+    assert np.array_equal(dec.v @ dec.vinv, np.eye(basis.shape[1], dtype=object))
+    assert solve_integer(basis, a) is not None
+    assert solve_integer(a, basis) is not None
+    assert solve_integer(basis, a, dec=dec) is not None
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (3, 4)])
@@ -363,3 +453,28 @@ def test_cohomology_pipeline_matches_reference_elimination(monkeypatch):
         for name in ("u", "s", "v"):
             assert np.array_equal(getattr(got._basis_snf, name),
                                   getattr(want._basis_snf, name)), name
+
+
+def test_cohomology_eliminates_three_matrices_per_group(monkeypatch):
+    """The kernel of [d | moduli], the cocycle lattice and the coboundaries
+    in its basis; the lattice's elimination also factors the basis, and a
+    cached group eliminates nothing."""
+    import bfly.cohomology as coh
+    from bfly.catalog import standard_modules
+
+    tracks = []
+    real = snf.smith_normal_form
+
+    def spy(a, track="u v uinv vinv", /):
+        tracks.append(track)
+        return real(a, track)
+
+    monkeypatch.setattr(snf, "smith_normal_form", spy)
+    monkeypatch.setattr(coh, "smith_normal_form", spy)
+    monkeypatch.setattr(coh, "_COHOM_CACHE", {})
+    for _, m in standard_modules():
+        for d in (1, 2, 3):
+            start = len(tracks)
+            coh.cohomology(m, d)
+            coh.cohomology(m, d)
+            assert tracks[start:] == ["v", "u uinv", "u uinv"]
