@@ -56,6 +56,7 @@ from .groups import (
     _hom,
     _label_cosets,
     build_hom,
+    capped_memo,
     compose,
     cooperator_sums,
     direct_product,
@@ -195,8 +196,18 @@ def build_xext_morphism(
 
 
 # --- pushforward, product, tensor, inverse --------------------------------
+#
+# pushforward_xext, tensor_xext_with_data, phi and inverse_witness are pure,
+# so each is a bounded memo keyed by value (the argument dataclasses hash
+# and compare by their tables), as groups._hom_rows is: a value is built
+# and checked once per process, and a hit returns the first caller's
+# objects, whose arrays are all read-only.  A call that raises is not
+# cached, so it raises again, and lowering the order cap empties the memos.
+# Each bound holds the distinct arguments of `bfly verify all` (123, 46,
+# 135 and 24).
 
 
+@capped_memo(256)
 def pushforward_xext(
     e: CrossedExtension, beta: CModuleMorphism
 ) -> tuple[CrossedExtension, XExtMorphism]:
@@ -260,6 +271,7 @@ def product_xext_with_data(
     return XExtProduct(xext=result, pb=pb, middle=mid)
 
 
+@capped_memo(64)
 def tensor_xext_with_data(e: CrossedExtension, ep: CrossedExtension):
     if e.module != ep.module:
         raise ModuleMismatch("tensor requires the same kernel module")
@@ -537,6 +549,7 @@ def flip(b: Butterfly) -> Butterfly:
 # --- loops on the unit object ---------------------------------------------
 
 
+@capped_memo(256)
 def phi(ext: AbelianExtension) -> Butterfly:
     """The loop butterfly on the unit carried by an abelian extension."""
     unit = unit_xext(ext.module)
@@ -583,6 +596,7 @@ def tensor_unit_comparison(e: CrossedExtension) -> XExtMorphism:
     )
 
 
+@capped_memo(32)
 def inverse_witness(e: CrossedExtension) -> Butterfly:
     """Flippable butterfly from E (x) E* to the unit, with F = E2 x| E1.
 

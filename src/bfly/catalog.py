@@ -36,6 +36,7 @@ from .groups import (
     all_homs,
     build_group,
     build_hom,
+    capped_memo,
     find_isomorphisms,
     zero_hom,
 )
@@ -91,13 +92,22 @@ def _standard_modules() -> tuple[tuple[str, CModule], ...]:
 
 
 def h2_catalog(module: CModule) -> list[AbelianExtension]:
-    """The unit plus one bridge extension per cohomology class."""
+    """The unit plus one bridge extension per cohomology class.
+
+    A fresh list of the extensions built once per module and process, in
+    a bounded memo keyed by value that holds the 22 standard modules.
+    """
+    return list(_h2_catalog(module))
+
+
+@capped_memo(32)
+def _h2_catalog(module: CModule) -> tuple[AbelianExtension, ...]:
     out = [unit_extension(module)]
     h2 = cohomology(module, 2)
     for coords in _all_coords(h2.factors):
         if any(coords):
             out.append(extension_from_2cocycle(h2.representative(coords)))
-    return out
+    return tuple(out)
 
 
 def _all_coords(factors) -> list[tuple[int, ...]]:

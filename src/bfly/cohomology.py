@@ -25,6 +25,7 @@ from .snf import (
     column_lattice_basis,
     integer_kernel,
     smith_normal_form,
+    solve_diagonal,
     solve_integer,
 )
 
@@ -398,8 +399,9 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
     cob_gens = np.concatenate([d_down, col_mods], axis=1)
 
     # express coboundaries in the cocycle basis and read off the quotient;
-    # the basis is square and nonsingular, so each solution is unique
-    x = solve_integer(basis, cob_gens, dec=lattice)
+    # the basis is square and nonsingular, so each solution is unique, and
+    # its factorisation's V is the identity, so S y = U b gives it
+    x = solve_diagonal(lattice, cob_gens)
     require(x is not None, "coboundary outside the cocycle lattice")
     dec_x = smith_normal_form(x, "u uinv")
     sdiag = tuple(

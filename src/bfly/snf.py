@@ -193,7 +193,9 @@ def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
             rows = t + s[t:, t].nonzero()[0]
             s[rows[:, None], cols] += s[rows, t, None] * q
         if "v" in x:
-            x["v"][cols] += q[:, None] * x["v"][t]
+            # row t of V^T stays sparse for most of an elimination
+            v, nz = x["v"], x["v"][t].nonzero()[0]
+            v[cols[:, None], nz] += q[:, None] * v[t, nz]
         if "vinv" in x:
             x["vinv"][t] -= q @ x["vinv"][cols]
 
@@ -283,13 +285,25 @@ def solve_integer(a, b, dec: SmithDecomposition | None = None):
     b may also be a matrix; then x solves every column, or is None unless
     every column is solvable.
     """
-    arr = _obj(a)
     rhs = np.array(b, dtype=object)
-    columns = rhs if rhs.ndim > 1 else rhs[:, None]
     if dec is None:
-        dec = smith_normal_form(arr, "u v")
-    c = dec.u @ columns
-    m, n = arr.shape
+        dec = smith_normal_form(_obj(a), "u v")
+    y = solve_diagonal(dec, rhs if rhs.ndim > 1 else rhs[:, None])
+    if y is None:
+        return None
+    x = dec.v @ y
+    return x if rhs.ndim > 1 else x.reshape(-1)
+
+
+def solve_diagonal(dec: SmithDecomposition, b) -> np.ndarray | None:
+    """One integer y with S y = U b, column by column, or None.
+
+    Then x = V y solves A x = b.  Where V is the identity, as in the
+    factorisation ``column_lattice_basis`` returns, y itself is x, and the
+    product with V is skipped.
+    """
+    c = dec.u @ np.asarray(b, dtype=object)
+    m, n = dec.s.shape
     k = min(m, n)
     d = np.diagonal(dec.s)
     zero = d == 0
@@ -298,10 +312,9 @@ def solve_integer(a, b, dec: SmithDecomposition | None = None):
     d = np.where(zero, 1, d)[:, None]
     if (c[:k] % d).any():
         return None
-    y = np.zeros((n, columns.shape[1]), dtype=object)
+    y = np.zeros((n, c.shape[1]), dtype=object)
     y[:k] = c[:k] // d
-    x = dec.v @ y
-    return x if rhs.ndim > 1 else x.reshape(-1)
+    return y
 
 
 def column_lattice_basis(a) -> tuple[np.ndarray, SmithDecomposition]:

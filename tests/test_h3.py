@@ -1,7 +1,9 @@
 """Crossed extensions and the butterfly calculus."""
 
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from bfly.actions import identity_morphism, zero_morphism
@@ -30,7 +32,7 @@ from bfly.catalog import (
     nontrivial_class_xext,
     trivial_class_spliced_xext,
 )
-from bfly.cohomology import cohomology
+from bfly.cohomology import cohomology, cyclic_group
 from bfly.errors import (
     ActionNotWellDefined,
     ButterflyConditionViolation,
@@ -344,3 +346,147 @@ def test_tensor_pushforward_builds_no_group_over_the_cap():
     assert got == want
     assert (got[0].e2.order, got[0].e1.order) == (64, 32)
     assert class_of_crossed_extension(got[0]).is_zero()
+
+
+# --- memoized constructions -----------------------------------------------
+
+
+def _memos():
+    from bfly import butterflies, catalog
+
+    return [butterflies.pushforward_xext, butterflies.tensor_xext_with_data,
+            butterflies.phi, butterflies.inverse_witness, catalog._h2_catalog]
+
+
+def _clear_memos():
+    for memo in _memos():
+        memo.cache_clear()
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through dataclass fields, cached
+    properties, tuples and lists."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif dataclasses.is_dataclass(obj):
+        for value in vars(obj).values():
+            yield from _arrays(value, seen)
+
+
+def test_memoized_results_are_read_only():
+    """A hit shares the first caller's objects, so none of their arrays may change."""
+    from bfly.actions import all_module_morphisms
+    from bfly.butterflies import tensor_xext_with_data
+    from bfly.catalog import h2_catalog, h3_catalog, standard_modules
+
+    _clear_memos()
+    mods = standard_modules()
+    results = []
+    for _, m in mods:
+        cat = [e for _, e in h3_catalog(m, mods)]
+        results += [inverse_witness(e) for e in cat]
+        results += [tensor_xext_with_data(e1, e2) for e1, e2 in itertools.product(cat[:3], repeat=2)]
+        results += [pushforward_xext(unit_xext(m), b) for b in all_module_morphisms(m, m)[:2]]
+        results += [h2_catalog(m)] + [phi(ext) for ext in h2_catalog(m)]
+    arrays = list(_arrays(results, set()))
+    assert len(arrays) > 1000
+    assert not [a for a in arrays if a.flags.writeable]
+
+
+def test_equal_inputs_built_apart_hit_the_memos():
+    from bfly.actions import trivial_module
+    from bfly.butterflies import tensor_xext_with_data
+    from bfly.catalog import _h2_catalog, h2_catalog
+
+    def calls(m):
+        e = unit_xext(m)
+        return [pushforward_xext(e, identity_morphism(m)), tensor_xext_with_data(e, e),
+                phi(unit_extension(m)), inverse_witness(e), h2_catalog(m)]
+
+    _clear_memos()
+    a = trivial_module(cyclic_group(2), cyclic_group(2))
+    b = trivial_module(cyclic_group(2), cyclic_group(2))
+    assert a is not b and a == b and unit_xext(a) is not unit_xext(b)
+    first = calls(a)
+    hits = [memo.cache_info().hits for memo in _memos()]
+    again = calls(b)
+    # each memo is read once more: a hit of tensor_xext_with_data or of
+    # inverse_witness does not reach the memos that they call
+    assert [memo.cache_info().hits for memo in _memos()] == [h + 1 for h in hits]
+    assert all(x is y for x, y in zip(first[:4], again[:4]))
+    assert again[4] == first[4] and all(x is y for x, y in zip(again[4], _h2_catalog(a)))
+
+
+def test_memos_are_bounded():
+    from bfly import groups
+
+    assert all(memo.cache_info().maxsize is not None for memo in _memos())
+    assert all(any(memo is c for c in groups._CAPPED_MEMOS) for memo in _memos())
+
+
+def test_a_failing_pushforward_raises_on_every_call(z2_z2_triv, z2_z3_inv):
+    from bfly.errors import ModuleMismatch
+
+    _clear_memos()
+    e = unit_xext(z2_z2_triv)
+    for _ in range(2):
+        with pytest.raises(ModuleMismatch):
+            pushforward_xext(e, identity_morphism(z2_z3_inv))
+    info = pushforward_xext.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+def test_h2_catalog_returns_a_fresh_list(z2_z2_triv):
+    from bfly.catalog import h2_catalog
+
+    _clear_memos()
+    cat = h2_catalog(z2_z2_triv)
+    assert len(cat) == 2
+    cat.append(cat[0])
+    cat[0] = cat[1]
+    again = h2_catalog(z2_z2_triv)
+    assert len(again) == 2 and again[0] == unit_extension(z2_z2_triv)
+
+
+def test_inverse_suite_builds_each_product_once(monkeypatch):
+    """The catalog's tensor-unit-unit and push-* entries equal the unit, and
+    each crossed extension is tensored with its inverse once."""
+    import collections
+
+    from bfly import butterflies
+    from bfly.verify import run_suite
+
+    built = collections.Counter()
+    real = butterflies.product_xext_with_data
+
+    def spy(e, ep):
+        built[e, ep] += 1
+        return real(e, ep)
+
+    _clear_memos()
+    monkeypatch.setattr(butterflies, "product_xext_with_data", spy)
+    assert all(r.passed for r in run_suite("inverse"))
+    assert built and max(built.values()) == 1
+
+
+def test_lowering_the_order_cap_empties_the_memos():
+    """A value built under a higher cap is not returned under a lower one."""
+    from bfly.catalog import standard_modules
+    from bfly.errors import OrderCapExceeded
+    from bfly.groups import order_cap
+
+    _clear_memos()
+    e = coinduced_xext(dict(standard_modules())["Z2-Z4-a0"], (1,))
+    tensored = tensor_xext(e, e)            # E2 x E2 has order 256
+    with order_cap(1024):
+        assert tensor_xext(e, e) is tensored
+    with order_cap(128):
+        with pytest.raises(OrderCapExceeded):
+            tensor_xext(e, e)
+    assert tensor_xext(e, e) == tensored
