@@ -18,7 +18,6 @@ from .actions import (
     CModule,
     CModuleMorphism,
     GroupAction,
-    build_action,
     cmodule_morphism,
     cmodule_product,
     equivariance_failures,
@@ -26,11 +25,7 @@ from .actions import (
     induced_module,
     pair_codiagonal,
 )
-from .crossed import (
-    CrossedModule,
-    associated_groupoid,
-    build_crossed_module,
-)
+from .crossed import CrossedModule, _xmod, associated_groupoid
 from .errors import (
     ActionNotWellDefined,
     BaseMismatch,
@@ -55,8 +50,6 @@ from .groups import (
     _group,
     _hom,
     _label_cosets,
-    build_hom,
-    capped_memo,
     compose,
     cooperator_sums,
     direct_product,
@@ -129,6 +122,11 @@ def build_crossed_extension(
         b, x = (int(i) for i in np.argwhere(bad)[0])
         raise NotCentral(f"j({b}) does not commute with {x}")
     module = induced_module(j, xm.action.act[:, j.map], p, ActionNotWellDefined)
+    return _xext(j, xm, p, module)
+
+
+def _xext(j: GroupHom, xm: CrossedModule, p: GroupHom, module: CModule) -> CrossedExtension:
+    """A crossed extension by construction, with its induced module; not validated."""
     return CrossedExtension(j=j, xm=xm, p=p, module=module)
 
 
@@ -141,9 +139,7 @@ def unit_xext(module: CModule) -> CrossedExtension:
     """
     b_grp, c_grp = module.coeff, module.base
     xm = CrossedModule(boundary=zero_hom(b_grp, c_grp), action=module.action)
-    return CrossedExtension(
-        j=identity_hom(b_grp), xm=xm, p=identity_hom(c_grp), module=module
-    )
+    return _xext(identity_hom(b_grp), xm, identity_hom(c_grp), module)
 
 
 @dataclass(frozen=True)
@@ -196,18 +192,8 @@ def build_xext_morphism(
 
 
 # --- pushforward, product, tensor, inverse --------------------------------
-#
-# pushforward_xext, tensor_xext_with_data, phi and inverse_witness are pure,
-# so each is a bounded memo keyed by value (the argument dataclasses hash
-# and compare by their tables), as groups._hom_rows is: a value is built
-# and checked once per process, and a hit returns the first caller's
-# objects, whose arrays are all read-only.  A call that raises is not
-# cached, so it raises again, and lowering the order cap empties the memos.
-# Each bound holds the distinct arguments of `bfly verify all` (123, 46,
-# 135 and 24).
 
 
-@capped_memo(256)
 def pushforward_xext(
     e: CrossedExtension, beta: CModuleMorphism
 ) -> tuple[CrossedExtension, XExtMorphism]:
@@ -232,11 +218,9 @@ def pushforward_xext(
     if act is None:
         raise ActionNotWellDefined("pushforward action is not constant on cosets")
     bnd_new = _hom(q_grp, e.e1, e.xm.boundary.map[lx])    # the boundary kills j(B)
-    xm_new = build_crossed_module(bnd_new, build_action(e.e1, q_grp, act))
-    result = build_crossed_extension(_hom(bp, q_grp, proj[np.arange(bp.order) * n2]), xm_new, e.p)
-    if result.module != beta.cod:
-        raise ModuleMismatch("pushforward does not land in the target module")
-    lift = build_xext_morphism(e, result, beta, _hom(e2, q_grp, proj[:n2]), identity_hom(e.e1))
+    result = _xext(_hom(bp, q_grp, proj[np.arange(bp.order) * n2]), _xmod(bnd_new, act),
+                   e.p, beta.cod)
+    lift = XExtMorphism(e, result, beta, _hom(e2, q_grp, proj[:n2]), identity_hom(e.e1))
     return result, lift
 
 
@@ -261,17 +245,12 @@ def product_xext_with_data(
                pb.pair_index(e.xm.boundary.map[:, None], ep.xm.boundary.map).ravel())
     act = (e.xm.action.act[pb.p1.map][:, :, None] * n2p
            + ep.xm.action.act[pb.p2.map][:, None, :])
-    xm = build_crossed_module(bnd, build_action(pb.group, mid.group, act.reshape(npb, -1)))
-    j = _hom(direct_product(e.b, ep.b).group, mid.group,
-             (e.j.map[:, None] * n2p + ep.j.map).ravel())
-    result = build_crossed_extension(j, xm, compose(ep.p, pb.p2))
-    expected = cmodule_product(e.module, ep.module).module
-    if result.module != expected:
-        raise ModuleMismatch("product module is not the module product")
+    module = cmodule_product(e.module, ep.module).module
+    j = _hom(module.coeff, mid.group, (e.j.map[:, None] * n2p + ep.j.map).ravel())
+    result = _xext(j, _xmod(bnd, act.reshape(npb, -1)), compose(ep.p, pb.p2), module)
     return XExtProduct(xext=result, pb=pb, middle=mid)
 
 
-@capped_memo(64)
 def tensor_xext_with_data(e: CrossedExtension, ep: CrossedExtension):
     if e.module != ep.module:
         raise ModuleMismatch("tensor requires the same kernel module")
@@ -290,7 +269,7 @@ def tensor_xext(e: CrossedExtension, ep: CrossedExtension) -> CrossedExtension:
 def inverse_xext(e: CrossedExtension) -> CrossedExtension:
     """Same boundary and action; kernel arrow negated."""
     j_star = _hom(e.b, e.e2, e.j.map[e.b.inv])         # B is abelian
-    return build_crossed_extension(j_star, e.xm, e.p)
+    return _xext(j_star, e.xm, e.p, e.module)
 
 
 # --- butterflies ----------------------------------------------------------
@@ -378,10 +357,13 @@ def build_butterfly(
         raise ButterflyConditionViolation(
             "iv", f"iota not pre-crossed at (f, x') = ({f}, {xp})"
         )
-    return Butterfly(
-        dom=dom, cod=cod, f_group=f_group,
-        kappa=kappa, iota=iota, delta=delta, gamma=gamma,
-    )
+    return _butterfly(dom, cod, f_group, kappa, iota, delta, gamma)
+
+
+def _butterfly(dom, cod, f_group, kappa, iota, delta, gamma) -> Butterfly:
+    """A butterfly by construction; its four conditions are not checked."""
+    return Butterfly(dom=dom, cod=cod, f_group=f_group,
+                     kappa=kappa, iota=iota, delta=delta, gamma=gamma)
 
 
 def butterfly_beta(b: Butterfly) -> CModuleMorphism:
@@ -428,21 +410,14 @@ def compose_butterflies(second: Butterfly, first: Butterfly) -> Butterfly:
     iota = _hom(second.iota.dom, q_grp, proj.map[pb.pair_index(0, second.iota.map)])
     delta = hom_from_cosets(proj, compose(first.delta, pb.p1))
     gamma = hom_from_cosets(proj, compose(second.gamma, pb.p2))
-    return build_butterfly(
-        first.dom, second.cod, q_grp, kappa, iota, delta, gamma
-    )
+    return _butterfly(first.dom, second.cod, q_grp, kappa, iota, delta, gamma)
 
 
 def identity_butterfly(e: CrossedExtension) -> Butterfly:
     """F = E2 x| E1 with the groupoid legs and kernel-section wings."""
     gpd = associated_groupoid(e.xm)
-    return build_butterfly(
-        e, e, gpd.total,
-        kappa=gpd.ker_d_section,
-        iota=gpd.ker_c_section,
-        delta=gpd.c,
-        gamma=gpd.d,
-    )
+    return _butterfly(e, e, gpd.total, kappa=gpd.ker_d_section, iota=gpd.ker_c_section,
+                      delta=gpd.c, gamma=gpd.d)
 
 
 def morphism_to_butterfly(m: XExtMorphism) -> Butterfly:
@@ -459,7 +434,7 @@ def morphism_to_butterfly(m: XExtMorphism) -> Butterfly:
                  ep.e2.inv[m.f2.map] * e.e1.order + e.xm.boundary.map)
     gamma = _hom(sd.group, ep.e1,
                  ep.e1.table[ep.xm.boundary.map[:, None], m.f1.map].ravel())
-    bf = build_butterfly(e, ep, sd.group, kappa, sd.inj_normal, sd.retraction, gamma)
+    bf = _butterfly(e, ep, sd.group, kappa, sd.inj_normal, sd.retraction, gamma)
     require(butterfly_beta(bf) == m.beta)
     return bf
 
@@ -540,28 +515,20 @@ def is_flippable(b: Butterfly) -> bool:
 def flip(b: Butterfly) -> Butterfly:
     if not is_flippable(b):
         raise NotFlippable("(kappa, gamma) is not short exact")
-    return build_butterfly(
-        b.cod, b.dom, b.f_group,
-        kappa=b.iota, iota=b.kappa, delta=b.gamma, gamma=b.delta,
-    )
+    return _butterfly(b.cod, b.dom, b.f_group,
+                      kappa=b.iota, iota=b.kappa, delta=b.gamma, gamma=b.delta)
 
 
 # --- loops on the unit object ---------------------------------------------
 
 
-@capped_memo(256)
 def phi(ext: AbelianExtension) -> Butterfly:
     """The loop butterfly on the unit carried by an abelian extension."""
     unit = unit_xext(ext.module)
     b_grp = ext.kernel_arrow.dom                        # abelian
     kappa = _hom(b_grp, ext.middle, ext.kernel_arrow.map[b_grp.inv])
-    bf = build_butterfly(
-        unit, unit, ext.middle,
-        kappa=kappa,
-        iota=ext.kernel_arrow,
-        delta=ext.quotient_arrow,
-        gamma=ext.quotient_arrow,
-    )
+    bf = _butterfly(unit, unit, ext.middle, kappa=kappa, iota=ext.kernel_arrow,
+                    delta=ext.quotient_arrow, gamma=ext.quotient_arrow)
     require(butterfly_beta(bf).is_identity())
     return bf
 
@@ -591,12 +558,9 @@ def tensor_unit_comparison(e: CrossedExtension) -> XExtMorphism:
     tensored, data, lift = tensor_xext_with_data(e, unit)
     f1 = _hom(e.e1, data.pb.group, data.pb.pair_index(np.arange(e.e1.order), e.p.map))
     f2 = compose(lift.f2, data.middle.inj1)
-    return build_xext_morphism(
-        e, tensored, identity_morphism(e.module), f2, f1
-    )
+    return XExtMorphism(e, tensored, identity_morphism(e.module), f2, f1)
 
 
-@capped_memo(32)
 def inverse_witness(e: CrossedExtension) -> Butterfly:
     """Flippable butterfly from E (x) E* to the unit, with F = E2 x| E1.
 
@@ -630,15 +594,12 @@ def inverse_witness(e: CrossedExtension) -> Butterfly:
     v2_map = factor_through(target.ravel(), k_pos[w].ravel(), t2.order)
     if v2_map is None:
         raise ActionNotWellDefined("tensor-to-groupoid comparison not constant on cosets")
-    v2 = build_hom(t2, k_sub.group, v2_map)
+    v2 = _hom(t2, k_sub.group, v2_map)
     require(v2.is_injective() and v2.is_surjective())
 
     kappa = compose(k_sub.embedding, v2)
     iota = compose(gpd.ker_c_section, e.j)
-    bf = build_butterfly(
-        tensored, unit, sd,
-        kappa=kappa, iota=iota, delta=cd, gamma=pc,
-    )
+    bf = _butterfly(tensored, unit, sd, kappa=kappa, iota=iota, delta=cd, gamma=pc)
     require(is_flippable(bf))
     require(butterfly_beta(bf).is_identity())
     return bf

@@ -36,8 +36,8 @@ from .groups import (
     all_homs,
     build_group,
     build_hom,
-    capped_memo,
     find_isomorphisms,
+    get_order_cap,
     zero_hom,
 )
 
@@ -94,14 +94,15 @@ def _standard_modules() -> tuple[tuple[str, CModule], ...]:
 def h2_catalog(module: CModule) -> list[AbelianExtension]:
     """The unit plus one bridge extension per cohomology class.
 
-    A fresh list of the extensions built once per module and process, in
-    a bounded memo keyed by value that holds the 22 standard modules.
+    A fresh list of the extensions built once per module, order cap and
+    process: the cap is part of the key, so a lower cap misses and refuses
+    what it must.  The bound holds the 22 standard modules.
     """
-    return list(_h2_catalog(module))
+    return list(_h2_catalog(module, get_order_cap()))
 
 
-@capped_memo(32)
-def _h2_catalog(module: CModule) -> tuple[AbelianExtension, ...]:
+@lru_cache(maxsize=32)
+def _h2_catalog(module: CModule, cap: int) -> tuple[AbelianExtension, ...]:
     out = [unit_extension(module)]
     h2 = cohomology(module, 2)
     for coords in _all_coords(h2.factors):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import GroupAction, build_action
+from .actions import GroupAction
 from .errors import (
     DomainMismatch,
     PeifferViolation,
@@ -23,7 +23,9 @@ from .groups import (
     GroupHom,
     SemidirectResult,
     _hom,
+    identity_hom,
     semidirect_product,
+    zero_hom,
 )
 
 
@@ -69,6 +71,13 @@ def build_crossed_module(boundary: GroupHom, action: GroupAction) -> CrossedModu
     return CrossedModule(boundary=boundary, action=action)
 
 
+def _xmod(boundary: GroupHom, act) -> CrossedModule:
+    """A crossed module by construction, E1 acting by ``act``; not validated."""
+    act = np.asarray(act, dtype=np.int64)
+    act.setflags(write=False)
+    return CrossedModule(boundary, GroupAction(boundary.cod, boundary.dom, act))
+
+
 @dataclass(frozen=True)
 class InternalGroupoid:
     """The groupoid associated with a crossed module.
@@ -107,15 +116,11 @@ def associated_groupoid(xm: CrossedModule) -> InternalGroupoid:
 
 def identity_crossed_module(g: FiniteGroup) -> CrossedModule:
     """id: G -> G with the conjugation action."""
-    from .groups import identity_hom
-
-    return build_crossed_module(identity_hom(g), build_action(g, g, g.conjugates()))
+    return _xmod(identity_hom(g), g.conjugates())
 
 
 def zero_boundary_crossed_module(
     coeff: FiniteGroup, base: FiniteGroup, action: GroupAction
 ) -> CrossedModule:
     """0: B -> C with a given action; Peiffer forces B abelian."""
-    from .groups import zero_hom
-
     return build_crossed_module(zero_hom(coeff, base), action)

@@ -29,44 +29,21 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 512
 _order_cap = DEFAULT_ORDER_CAP
-_CAPPED_MEMOS: list = []
 
 
 def get_order_cap() -> int:
     return _order_cap
 
 
-def _set_order_cap(cap: int) -> None:
-    global _order_cap
-    if cap < _order_cap:
-        # a value built under the higher cap may hold groups over this one
-        for memo in _CAPPED_MEMOS:
-            memo.cache_clear()
-    _order_cap = cap
-
-
 @contextmanager
 def order_cap(cap: int):
     """Apply an order cap inside a with-block and restore the previous one."""
-    previous = _order_cap
-    _set_order_cap(int(cap))
+    global _order_cap
+    previous, _order_cap = _order_cap, int(cap)
     try:
         yield
     finally:
-        _set_order_cap(previous)
-
-
-def capped_memo(maxsize: int):
-    """``lru_cache(maxsize)`` for a pure construction that builds groups.
-
-    Lowering the order cap empties it, so a hit never returns a group the
-    cap in force would refuse; a call that raises is not cached.
-    """
-    def wrap(fn):
-        memo = lru_cache(maxsize=maxsize)(fn)
-        _CAPPED_MEMOS.append(memo)
-        return memo
-    return wrap
+        _order_cap = previous
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .actions import (
     all_module_morphisms,
+    build_action,
     identity_morphism,
     trivial_module,
 )
@@ -26,6 +27,10 @@ from .bridges import (
     push_classes,
 )
 from .butterflies import (
+    Butterfly,
+    build_butterfly,
+    build_crossed_extension,
+    build_xext_morphism,
     compose_butterflies,
     find_butterfly_iso,
     flip,
@@ -55,6 +60,7 @@ from .cohomology import (
     z1,
     zero_cochain,
 )
+from .crossed import build_crossed_module
 from .errors import LawViolation, require
 from .extensions import (
     are_fibre_isomorphic,
@@ -93,6 +99,15 @@ def _check(results: list[CheckResult], name: str, fn) -> None:
 
 def _pairs(items, cap: int):
     return list(itertools.islice(itertools.product(items, repeat=2), cap))
+
+
+def _checked(b: Butterfly) -> Butterfly:
+    """b once build_butterfly has checked its four conditions.
+
+    The constructions build by invariant, so a check whose law is that a
+    construction yields a butterfly runs what it built through this.
+    """
+    return build_butterfly(b.dom, b.cod, b.f_group, b.kappa, b.iota, b.delta, b.gamma)
 
 
 # --- criterion 1 ----------------------------------------------------------
@@ -200,8 +215,8 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
         for name, m in mods:
             ident = identity_butterfly(unit_xext(m))
             for f in _loop_pool(m, cap=3):
-                require(find_butterfly_iso(compose_butterflies(ident, f), f))
-                require(find_butterfly_iso(compose_butterflies(f, ident), f))
+                require(find_butterfly_iso(_checked(compose_butterflies(ident, f)), f))
+                require(find_butterfly_iso(_checked(compose_butterflies(f, ident)), f))
                 n += 2
         require(n >= 50, f"only {n} unit-law instances")
         return f"{n} composites"
@@ -213,8 +228,9 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
             pool = _loop_pool(m, cap=4)
             for _ in range(2):
                 f, g, h = (pool[int(rng.integers(len(pool)))] for _ in range(3))
-                lhs = compose_butterflies(h, compose_butterflies(g, f))
-                rhs = compose_butterflies(compose_butterflies(h, g), f)
+                gf, hg = _checked(compose_butterflies(g, f)), _checked(compose_butterflies(h, g))
+                lhs = _checked(compose_butterflies(h, gf))
+                rhs = _checked(compose_butterflies(hg, f))
                 require(find_butterfly_iso(lhs, rhs), "associativity failed")
                 n += 1
         require(n >= 40, f"only {n} triples")
@@ -226,7 +242,7 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
         for name, m in mods:
             pool = _loop_pool(m, cap=3)
             for f, g in _pairs(pool, 6):
-                bf = butterfly_beta(compose_butterflies(g, f))
+                bf = butterfly_beta(_checked(compose_butterflies(g, f)))
                 from .actions import compose_morphisms
 
                 require(bf == compose_morphisms(
@@ -245,7 +261,7 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
                 q1, q2 = morphism_to_butterfly(l1), morphism_to_butterfly(l2)
                 from .actions import compose_morphisms
 
-                require(butterfly_beta(compose_butterflies(q2, q1)) == (
+                require(butterfly_beta(_checked(compose_butterflies(q2, q1))) == (
                     compose_morphisms(b1, b1)
                 ))
                 n += 1
@@ -257,7 +273,7 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
         for name, m in mods[:8]:
             ident = identity_butterfly(unit_xext(m))
             for f in _loop_pool(m, cap=2):
-                c = compose_butterflies(ident, f)
+                c = _checked(compose_butterflies(ident, f))
                 iso = find_butterfly_iso(c, f)
                 require(iso is not None)
                 require(butterfly_beta(c) == butterfly_beta(f))
@@ -269,7 +285,8 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
         n = 0
         for name, m in mods:
             cmp = tensor_unit_comparison(unit_xext(m))
-            bf = morphism_to_butterfly(cmp)
+            cmp = build_xext_morphism(cmp.dom, cmp.cod, cmp.beta, cmp.f2, cmp.f1)
+            bf = _checked(morphism_to_butterfly(cmp))
             require(butterfly_beta(bf).is_identity())
             require(is_flippable(bf))
             n += 1
@@ -288,10 +305,10 @@ def suite_inverse(seed: int = 0) -> list[CheckResult]:
         def inverse_law(m=m):
             n = 0
             for ename, e in h3_catalog(m, mods):
-                w = inverse_witness(e)          # validates i-iv, flip, beta
+                w = _checked(inverse_witness(e))
                 require(is_flippable(w), f"{ename}: witness not flippable")
                 require(butterfly_beta(w).is_identity())
-                comp = compose_butterflies(flip(w), w)
+                comp = _checked(compose_butterflies(_checked(flip(w)), w))
                 require(find_butterfly_iso(
                     comp, identity_butterfly(w.dom)
                 ), f"{ename}: flip(w).w is not the identity")
@@ -317,10 +334,11 @@ def suite_phi(seed: int = 0) -> list[CheckResult]:
 
         def phi_monoidal(m=m):
             cat = h2_catalog(m)
+            loops = [phi(e) for e in cat]
             n = 0
-            for e1, e2 in _pairs(cat, 9):
+            for (e1, p1), (e2, p2) in _pairs(list(zip(cat, loops)), 9):
                 lhs = phi(baer_sum(e1, e2))
-                rhs = compose_butterflies(phi(e2), phi(e1))
+                rhs = _checked(compose_butterflies(p2, p1))
                 require(find_butterfly_iso(lhs, rhs), "phi is not monoidal")
                 n += 1
             return f"{n} pairs"
@@ -331,10 +349,11 @@ def suite_phi(seed: int = 0) -> list[CheckResult]:
 
         def reflects(m=m):
             cat = h2_catalog(m)
+            loops = [phi(e) for e in cat]
             n = 0
-            for e1, e2 in itertools.product(cat, repeat=2):
+            for (e1, p1), (e2, p2) in itertools.product(zip(cat, loops), repeat=2):
                 same_fibre = are_fibre_isomorphic(e1, e2)
-                same_phi = find_butterfly_iso(phi(e1), phi(e2)) is not None
+                same_phi = find_butterfly_iso(p1, p2) is not None
                 require(same_fibre == same_phi, "phi does not reflect isomorphism")
                 n += 1
             return f"{n} comparisons"
@@ -403,6 +422,11 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
                     if src.e2.order > 12 or src.e1.order > 12:
                         continue
                     result, lift = pushforward_xext(src, beta)
+                    act = build_action(src.e1, result.e2, result.xm.action.act)
+                    xm = build_crossed_module(result.xm.boundary, act)
+                    valid = build_crossed_extension(result.j, xm, result.p)
+                    require(valid.module == beta.cod, "pushforward misses the target module")
+                    build_xext_morphism(src, valid, beta, lift.f2, lift.f1)
                     for g in [result, unit_xext(m2)]:
                         for b2 in all_module_morphisms(m2, m2)[:2]:
                             require(check_cocartesian_xext(

@@ -265,6 +265,17 @@ def _broken_actions(e):
     return [_perturbed(e, swaps) for swaps in out]
 
 
+def _validated_xext(e):
+    """e's arrows through build_action, build_crossed_module and
+    build_crossed_extension, as the document loader takes them."""
+    from bfly.actions import build_action
+    from bfly.butterflies import build_crossed_extension
+    from bfly.crossed import build_crossed_module
+
+    xm = build_crossed_module(e.xm.boundary, build_action(e.e1, e.e2, e.xm.action.act))
+    return build_crossed_extension(e.j, xm, e.p)
+
+
 def test_butterfly_layer_matches_the_pointwise_loops():
     """Every h3-catalog object of the 22 modules against the parent's loops."""
     from bfly.actions import all_module_morphisms
@@ -315,9 +326,11 @@ def test_butterfly_layer_matches_the_pointwise_loops():
                     got = _outcome(build_butterfly, dom, cod, *wings)
                     assert got == _outcome(ref_build_butterfly, dom, cod, *wings), (name, en)
                     failures.add(got[0] if isinstance(got, tuple) else None)
+                # the validators refuse bad, or build it over another module
+                checked = _outcome(_validated_xext, bad)
+                assert isinstance(checked, tuple) or checked.module != bad.module, (name, en)
                 for beta in betas:
                     got = _outcome(pushforward_xext, bad, beta)
-                    assert got == _outcome(ref_pushforward_xext, bad, beta), (name, en)
                     failures.add(got[0] if isinstance(got[0], type) else None)
         loops = [phi(ext) for ext in h2_catalog(m)]
         for b1, b2 in itertools.product(loops, repeat=2):
@@ -348,19 +361,7 @@ def test_tensor_pushforward_builds_no_group_over_the_cap():
     assert class_of_crossed_extension(got[0]).is_zero()
 
 
-# --- memoized constructions -----------------------------------------------
-
-
-def _memos():
-    from bfly import butterflies, catalog
-
-    return [butterflies.pushforward_xext, butterflies.tensor_xext_with_data,
-            butterflies.phi, butterflies.inverse_witness, catalog._h2_catalog]
-
-
-def _clear_memos():
-    for memo in _memos():
-        memo.cache_clear()
+# --- shared results, the order cap, and the validators of verify ---------
 
 
 def _arrays(obj, seen):
@@ -380,12 +381,12 @@ def _arrays(obj, seen):
 
 
 def test_memoized_results_are_read_only():
-    """A hit shares the first caller's objects, so none of their arrays may change."""
+    """The constructions share arrays with their arguments, and the h2 memo
+    hands out its objects, so none of their arrays may change."""
     from bfly.actions import all_module_morphisms
     from bfly.butterflies import tensor_xext_with_data
     from bfly.catalog import h2_catalog, h3_catalog, standard_modules
 
-    _clear_memos()
     mods = standard_modules()
     results = []
     for _, m in mods:
@@ -399,53 +400,18 @@ def test_memoized_results_are_read_only():
     assert not [a for a in arrays if a.flags.writeable]
 
 
-def test_equal_inputs_built_apart_hit_the_memos():
-    from bfly.actions import trivial_module
-    from bfly.butterflies import tensor_xext_with_data
-    from bfly.catalog import _h2_catalog, h2_catalog
-
-    def calls(m):
-        e = unit_xext(m)
-        return [pushforward_xext(e, identity_morphism(m)), tensor_xext_with_data(e, e),
-                phi(unit_extension(m)), inverse_witness(e), h2_catalog(m)]
-
-    _clear_memos()
-    a = trivial_module(cyclic_group(2), cyclic_group(2))
-    b = trivial_module(cyclic_group(2), cyclic_group(2))
-    assert a is not b and a == b and unit_xext(a) is not unit_xext(b)
-    first = calls(a)
-    hits = [memo.cache_info().hits for memo in _memos()]
-    again = calls(b)
-    # each memo is read once more: a hit of tensor_xext_with_data or of
-    # inverse_witness does not reach the memos that they call
-    assert [memo.cache_info().hits for memo in _memos()] == [h + 1 for h in hits]
-    assert all(x is y for x, y in zip(first[:4], again[:4]))
-    assert again[4] == first[4] and all(x is y for x, y in zip(again[4], _h2_catalog(a)))
-
-
-def test_memos_are_bounded():
-    from bfly import groups
-
-    assert all(memo.cache_info().maxsize is not None for memo in _memos())
-    assert all(any(memo is c for c in groups._CAPPED_MEMOS) for memo in _memos())
-
-
 def test_a_failing_pushforward_raises_on_every_call(z2_z2_triv, z2_z3_inv):
     from bfly.errors import ModuleMismatch
 
-    _clear_memos()
     e = unit_xext(z2_z2_triv)
     for _ in range(2):
         with pytest.raises(ModuleMismatch):
             pushforward_xext(e, identity_morphism(z2_z3_inv))
-    info = pushforward_xext.cache_info()
-    assert (info.misses, info.currsize) == (2, 0)
 
 
 def test_h2_catalog_returns_a_fresh_list(z2_z2_triv):
     from bfly.catalog import h2_catalog
 
-    _clear_memos()
     cat = h2_catalog(z2_z2_triv)
     assert len(cat) == 2
     cat.append(cat[0])
@@ -454,39 +420,68 @@ def test_h2_catalog_returns_a_fresh_list(z2_z2_triv):
     assert len(again) == 2 and again[0] == unit_extension(z2_z2_triv)
 
 
-def test_inverse_suite_builds_each_product_once(monkeypatch):
-    """The catalog's tensor-unit-unit and push-* entries equal the unit, and
-    each crossed extension is tensored with its inverse once."""
-    import collections
-
-    from bfly import butterflies
-    from bfly.verify import run_suite
-
-    built = collections.Counter()
-    real = butterflies.product_xext_with_data
-
-    def spy(e, ep):
-        built[e, ep] += 1
-        return real(e, ep)
-
-    _clear_memos()
-    monkeypatch.setattr(butterflies, "product_xext_with_data", spy)
-    assert all(r.passed for r in run_suite("inverse"))
-    assert built and max(built.values()) == 1
-
-
-def test_lowering_the_order_cap_empties_the_memos():
+def test_a_lower_order_cap_refuses_what_a_higher_one_built():
     """A value built under a higher cap is not returned under a lower one."""
-    from bfly.catalog import standard_modules
+    from bfly.catalog import h2_catalog, standard_modules
     from bfly.errors import OrderCapExceeded
     from bfly.groups import order_cap
 
-    _clear_memos()
-    e = coinduced_xext(dict(standard_modules())["Z2-Z4-a0"], (1,))
+    mods = dict(standard_modules())
+    e = coinduced_xext(mods["Z2-Z4-a0"], (1,))
     tensored = tensor_xext(e, e)            # E2 x E2 has order 256
-    with order_cap(1024):
-        assert tensor_xext(e, e) is tensored
     with order_cap(128):
         with pytest.raises(OrderCapExceeded):
             tensor_xext(e, e)
     assert tensor_xext(e, e) == tensored
+    m = mods["Z4-Z4-a0"]
+    cat = h2_catalog(m)                     # every middle group has order 16
+    with order_cap(8):
+        with pytest.raises(OrderCapExceeded):
+            h2_catalog(m)
+    assert h2_catalog(m) == cat
+
+
+def _broken_wing_iii(b):
+    """b over a domain whose E1 acts with the images of 0 and 1 under 1 * (-)
+    swapped: kappa is injective and delta onto, so wing law (iii) fails."""
+    from dataclasses import replace
+
+    from bfly.actions import GroupAction
+    from bfly.crossed import CrossedModule
+
+    act = b.dom.xm.action.act.copy()
+    act[1, [0, 1]] = act[1, [1, 0]]
+    xm = CrossedModule(b.dom.xm.boundary, GroupAction(b.dom.e1, b.dom.e2, act))
+    return replace(b, dom=replace(b.dom, xm=xm))
+
+
+def _broken_kappa(w):
+    """w with kappa shifted by an element outside the kernel of delta."""
+    from dataclasses import replace
+
+    from bfly.groups import _hom
+
+    f = int(np.flatnonzero(w.delta.map)[0])
+    kappa = _hom(w.kappa.dom, w.f_group, w.f_group.table[w.kappa.map, f])
+    return replace(w, kappa=kappa)
+
+
+def test_verify_fails_a_broken_construction_by_its_validator(monkeypatch):
+    """The constructions build by invariant, so a broken composite or inverse
+    witness must fail the check that validates it, not pass it."""
+    from bfly import verify
+
+    real_compose, real_witness = verify.compose_butterflies, verify.inverse_witness
+    monkeypatch.setattr(verify, "compose_butterflies",
+                        lambda second, first: _broken_wing_iii(real_compose(second, first)))
+    monkeypatch.setattr(verify, "inverse_witness", lambda e: _broken_kappa(real_witness(e)))
+    composing = {"butterfly:compose:unit-laws", "butterfly:compose:associativity",
+                 "butterfly:compose:beta-functorial", "butterfly:beta:iso-invariant"}
+    laws = verify.run_suite("butterfly-laws")
+    assert {r.name for r in laws if not r.passed} == composing
+    assert all("ButterflyConditionViolation: butterfly condition iii" in r.detail
+               for r in laws if not r.passed)
+    inverse = verify.run_suite("inverse")
+    assert len(inverse) == 22 and not any(r.passed for r in inverse)
+    assert all(r.detail.startswith("ButterflyConditionViolation: butterfly condition i:")
+               for r in inverse)
