@@ -18,6 +18,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     ProductResult,
+    _hom,
     build_hom,
     direct_product,
 )
@@ -208,33 +209,37 @@ def cmodule_morphism(dom: CModule, cod: CModule, hom) -> CModuleMorphism:
     return CModuleMorphism(dom=dom, cod=cod, hom=hom)
 
 
+def _cmodule_morphism(dom: CModule, cod: CModule, mapping) -> CModuleMorphism:
+    """An equivariant homomorphism by construction; not validated."""
+    return CModuleMorphism(dom=dom, cod=cod, hom=_hom(dom.coeff, cod.coeff, mapping))
+
+
 def identity_morphism(m: CModule) -> CModuleMorphism:
-    return cmodule_morphism(m, m, np.arange(m.coeff.order))
+    return _cmodule_morphism(m, m, np.arange(m.coeff.order))
 
 
 def zero_morphism(dom: CModule, cod: CModule) -> CModuleMorphism:
-    return cmodule_morphism(dom, cod, np.zeros(dom.coeff.order, dtype=np.int64))
+    if dom.base != cod.base:
+        raise BaseMismatch("module morphisms require the same base group")
+    return _cmodule_morphism(dom, cod, np.zeros(dom.coeff.order, dtype=np.int64))
 
 
 def negate(beta: CModuleMorphism) -> CModuleMorphism:
     """b |-> -beta(b); valid because the codomain is abelian."""
-    m = beta.cod.coeff.inv[beta.hom.map]
-    return cmodule_morphism(beta.dom, beta.cod, m)
+    return _cmodule_morphism(beta.dom, beta.cod, beta.cod.coeff.inv[beta.hom.map])
 
 
 def add_morphisms(f: CModuleMorphism, g: CModuleMorphism) -> CModuleMorphism:
     """Pointwise sum of parallel morphisms (abelian hom-sets)."""
     if f.dom != g.dom or f.cod != g.cod:
         raise BaseMismatch("can only add parallel module morphisms")
-    b = f.cod.coeff
-    m = b.table[f.hom.map, g.hom.map]
-    return cmodule_morphism(f.dom, f.cod, m)
+    return _cmodule_morphism(f.dom, f.cod, f.cod.coeff.table[f.hom.map, g.hom.map])
 
 
 def compose_morphisms(outer: CModuleMorphism, inner: CModuleMorphism) -> CModuleMorphism:
     if inner.cod != outer.dom:
         raise BaseMismatch("module morphism composition mismatch")
-    return cmodule_morphism(inner.dom, outer.cod, outer.hom.map[inner.hom.map])
+    return _cmodule_morphism(inner.dom, outer.cod, outer.hom.map[inner.hom.map])
 
 
 @dataclass(frozen=True)
@@ -277,7 +282,7 @@ def codiagonal(m: CModule) -> tuple[ModuleProductResult, CModuleMorphism]:
 
 def pair_codiagonal(prod: ModuleProductResult, target: CModule) -> CModuleMorphism:
     """Codiagonal for a product of two copies of ``target``."""
-    return cmodule_morphism(prod.module, target, target.coeff.table.ravel())
+    return _cmodule_morphism(prod.module, target, target.coeff.table.ravel())
 
 
 def all_module_morphisms(dom: CModule, cod: CModule) -> list[CModuleMorphism]:

@@ -20,7 +20,7 @@ from .cohomology import (
     is_cocycle,
 )
 from .errors import ModuleMismatch, NotACocycle, require
-from .extensions import AbelianExtension, build_extension
+from .extensions import AbelianExtension, _extension
 from .groups import _group, _hom
 
 
@@ -28,7 +28,8 @@ def extension_from_2cocycle(f: Cochain) -> AbelianExtension:
     """Middle group B x C with (b,c)+(b',c') = (b + c*b' + f(c,c'), c+c').
 
     The 2-cocycle condition makes this a group, and normalisation makes
-    (0, 0), index 0, its identity, so the table is built by invariant.
+    (0, 0), index 0, its identity, so the table and the extension, which
+    induces f's module, are built by invariant.
     """
     if f.degree != 2:
         raise NotACocycle("expected a degree-2 cochain")
@@ -46,9 +47,7 @@ def extension_from_2cocycle(f: Cochain) -> AbelianExtension:
     middle = _group(table.reshape(nb * nc, nb * nc))
     kappa = _hom(b_grp, middle, np.arange(nb) * nc)
     gamma = _hom(middle, c_grp, np.tile(np.arange(nc), nb))
-    ext = build_extension(kappa, gamma)
-    require(ext.module == m)
-    return ext
+    return _extension(kappa, gamma, m)
 
 
 def _pointed_sections(arrows, rng: np.random.Generator | None, count: int):

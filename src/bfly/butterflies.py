@@ -18,11 +18,12 @@ from .actions import (
     CModule,
     CModuleMorphism,
     GroupAction,
-    cmodule_morphism,
+    _cmodule_morphism,
     cmodule_product,
     equivariance_failures,
     identity_morphism,
     induced_module,
+    negate,
     pair_codiagonal,
 )
 from .crossed import CrossedModule, _xmod, associated_groupoid
@@ -387,9 +388,7 @@ def butterfly_beta(b: Butterfly) -> CModuleMorphism:
     mapping = in_bp[first[b.dom.j.map]]
     if (mapping < 0).any():
         raise CooperatorFails("kernel of the cooperator misses a B element")
-    beta = cmodule_morphism(b.dom.module, b.cod.module, mapping)
-    from .actions import negate
-
+    beta = _cmodule_morphism(b.dom.module, b.cod.module, mapping)
     lhs = compose(b.kappa, b.dom.j)
     rhs = compose(compose(b.iota, b.cod.j), negate(beta).hom)
     require(lhs == rhs, "beta postcondition kappa.j = iota.j'.(-beta) failed")

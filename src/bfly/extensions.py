@@ -100,16 +100,19 @@ def build_extension(kappa: GroupHom, gamma: GroupHom) -> AbelianExtension:
         raise NotExact("(kernel, quotient) is not short exact")
     # the conjugation module; lifts agree because B is abelian
     module = induced_module(kappa, kappa.cod.conjugates(kappa.map), gamma, NotExact)
+    return _extension(kappa, gamma, module)
+
+
+def _extension(kappa: GroupHom, gamma: GroupHom, module: CModule) -> AbelianExtension:
+    """A short exact sequence by construction, with the module it induces;
+    not validated."""
     return AbelianExtension(kernel_arrow=kappa, quotient_arrow=gamma, module=module)
 
 
 def unit_extension(module: CModule) -> AbelianExtension:
     """The split extension through the semidirect product of the action."""
     sd = semidirect_product(module.action)
-    ext = build_extension(sd.inj_normal, sd.retraction)
-    if ext.module != module:
-        raise ModuleMismatch("semidirect extension does not induce the module")
-    return ext
+    return _extension(sd.inj_normal, sd.retraction, module)
 
 
 def _baer_quotient(
@@ -125,10 +128,7 @@ def _baer_quotient(
     q_grp, proj = quotient_by(pb.group, pb.pair_index(k1.map, k2.cod.inv[k2.map]))
     kernel_arrow = _hom(k1.dom, q_grp, proj.map[pb.pair_index(k1.map, 0)])
     quotient_arrow = hom_from_cosets(proj, compose(g1, pb.p1))
-    ext = build_extension(kernel_arrow, quotient_arrow)
-    if ext.module != e1.module:
-        raise ModuleMismatch("Baer sum does not induce the expected module")
-    return pb, proj, ext
+    return pb, proj, _extension(kernel_arrow, quotient_arrow, e1.module)
 
 
 def baer_sum(e1: AbelianExtension, e2: AbelianExtension) -> AbelianExtension:
@@ -153,9 +153,7 @@ def pushforward_extension(
     q_grp, proj = quotient_by(sd.group, beta.hom.map * e_grp.order + e_grp.inv[kappa.map])
     kernel_arrow = compose(proj, sd.inj_normal)
     quotient_arrow = hom_from_cosets(proj, compose(gamma, sd.retraction))
-    target = build_extension(kernel_arrow, quotient_arrow)
-    if target.module != beta.cod:
-        raise ModuleMismatch("pushforward does not land in the target module")
+    target = _extension(kernel_arrow, quotient_arrow, beta.cod)
     mid = compose(proj, sd.inj_actor)
     return ExtensionLift(source=ext, beta=beta, mid=mid, target=target)
 

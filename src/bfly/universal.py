@@ -10,7 +10,7 @@ import numpy as np
 
 from .actions import CModuleMorphism, compose_morphisms, equivariance_failures
 from .butterflies import CrossedExtension, XExtMorphism
-from .errors import ModuleMismatch, require
+from .errors import ModuleMismatch
 from .extensions import AbelianExtension, ExtensionLift, extension_morphisms_over
 from .groups import all_homs, close_under_group, compose
 
@@ -92,7 +92,7 @@ def extension_product(
 ) -> AbelianExtension:
     """Fibre product over the shared base: middle E x_C E', kernel B x B'."""
     from .actions import cmodule_product
-    from .extensions import build_extension
+    from .extensions import _extension
     from .groups import _hom, pullback
 
     if a.quotient_arrow.cod != b.quotient_arrow.cod:
@@ -101,23 +101,18 @@ def extension_product(
     pb = pullback(a.quotient_arrow, b.quotient_arrow)
     kappa = _hom(pm.module.coeff, pb.group,
                  pb.pair_index(a.kernel_arrow.map[:, None], b.kernel_arrow.map).ravel())
-    gamma = compose(a.quotient_arrow, pb.p1)
-    ext = build_extension(kappa, gamma)
-    require(ext.module == pm.module)
-    return ext
+    return _extension(kappa, compose(a.quotient_arrow, pb.p1), pm.module)
 
 
 def product_of_lifts(l1: ExtensionLift, l2: ExtensionLift) -> ExtensionLift:
     """The fibre-product square of two extension lifts."""
-    from .actions import cmodule_morphism, cmodule_product
+    from .actions import _cmodule_morphism
     from .groups import _hom, pullback
 
     dom_ext = extension_product(l1.source, l2.source)
     target_ext = extension_product(l1.target, l2.target)
-    pm_dom = cmodule_product(l1.beta.dom, l2.beta.dom)
-    pm_cod = cmodule_product(l1.beta.cod, l2.beta.cod)
     mapping = l1.beta.hom.map[:, None] * l2.beta.cod.coeff.order + l2.beta.hom.map
-    beta = cmodule_morphism(pm_dom.module, pm_cod.module, mapping.ravel())
+    beta = _cmodule_morphism(dom_ext.module, target_ext.module, mapping.ravel())
     pb_dom = pullback(l1.source.quotient_arrow, l2.source.quotient_arrow)
     pb_tgt = pullback(l1.target.quotient_arrow, l2.target.quotient_arrow)
     mid = _hom(dom_ext.middle, target_ext.middle,
@@ -136,13 +131,13 @@ def composition_square(
     extension along the codiagonal.
     """
     from .actions import cmodule_product, pair_codiagonal
-    from .extensions import _baer_quotient, build_extension
+    from .extensions import _baer_quotient, _extension
     from .groups import _hom
 
     pb, proj, target = _baer_quotient(e, ep)
     pm = cmodule_product(e.module, ep.module)
     kappa = _hom(pm.module.coeff, pb.group,
                  pb.pair_index(e.kernel_arrow.map[:, None], ep.kernel_arrow.map).ravel())
-    dom_ext = build_extension(kappa, compose(e.quotient_arrow, pb.p1))
+    dom_ext = _extension(kappa, compose(e.quotient_arrow, pb.p1), pm.module)
     beta = pair_codiagonal(pm, e.module)
     return ExtensionLift(source=dom_ext, beta=beta, mid=proj, target=target)

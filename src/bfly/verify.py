@@ -14,8 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import (
+    CModule,
+    CModuleMorphism,
     all_module_morphisms,
     build_action,
+    cmodule_morphism,
+    cmodule_product,
+    compose_morphisms,
     identity_morphism,
     trivial_module,
 )
@@ -63,8 +68,10 @@ from .cohomology import (
 from .crossed import build_crossed_module
 from .errors import LawViolation, require
 from .extensions import (
+    AbelianExtension,
     are_fibre_isomorphic,
     baer_sum,
+    build_extension,
     fibre_morphisms,
     pushforward_extension,
     unit_extension,
@@ -73,6 +80,7 @@ from .universal import (
     check_cocartesian_extension,
     check_cocartesian_xext,
     composition_square,
+    extension_product,
     jointly_generate_square,
     product_of_lifts,
 )
@@ -108,6 +116,20 @@ def _checked(b: Butterfly) -> Butterfly:
     construction yields a butterfly runs what it built through this.
     """
     return build_butterfly(b.dom, b.cod, b.f_group, b.kappa, b.iota, b.delta, b.gamma)
+
+
+def _checked_extension(e: AbelianExtension, module: CModule) -> AbelianExtension:
+    """e once build_extension has checked that it is short exact; it must
+    induce ``module``."""
+    valid = build_extension(e.kernel_arrow, e.quotient_arrow)
+    require(valid.module == module, "the extension does not induce the expected module")
+    return valid
+
+
+def _checked_morphism(beta: CModuleMorphism) -> CModuleMorphism:
+    """beta once cmodule_morphism has checked that its map is an equivariant
+    homomorphism."""
+    return cmodule_morphism(beta.dom, beta.cod, beta.hom.map)
 
 
 # --- criterion 1 ----------------------------------------------------------
@@ -163,7 +185,7 @@ def suite_h2_pi0(seed: int = 0) -> list[CheckResult]:
         def descends(cat=cat, h2=h2, m=m):
             n = 0
             for e1, e2 in _pairs(cat, 16):
-                lhs = h2.classify(cocycle_of_extension(baer_sum(e1, e2)))
+                lhs = h2.classify(cocycle_of_extension(_checked_extension(baer_sum(e1, e2), m)))
                 rhs = h2.classify(cocycle_of_extension(e1)) + h2.classify(
                     cocycle_of_extension(e2)
                 )
@@ -242,11 +264,9 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
         for name, m in mods:
             pool = _loop_pool(m, cap=3)
             for f, g in _pairs(pool, 6):
-                bf = butterfly_beta(_checked(compose_butterflies(g, f)))
-                from .actions import compose_morphisms
-
+                bf = _checked_morphism(butterfly_beta(_checked(compose_butterflies(g, f))))
                 require(bf == compose_morphisms(
-                    butterfly_beta(g), butterfly_beta(f)
+                    _checked_morphism(butterfly_beta(g)), _checked_morphism(butterfly_beta(f))
                 ))
                 n += 1
             # a genuinely non-identity beta via chained pushforward lifts
@@ -259,11 +279,8 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
                 r1, l1 = pushforward_xext(e, b1)
                 r2, l2 = pushforward_xext(r1, b1)
                 q1, q2 = morphism_to_butterfly(l1), morphism_to_butterfly(l2)
-                from .actions import compose_morphisms
-
-                require(butterfly_beta(_checked(compose_butterflies(q2, q1))) == (
-                    compose_morphisms(b1, b1)
-                ))
+                composite = _checked(compose_butterflies(q2, q1))
+                require(_checked_morphism(butterfly_beta(composite)) == compose_morphisms(b1, b1))
                 n += 1
         return f"{n} pairs"
     _check(out, "butterfly:compose:beta-functorial", beta_functorial)
@@ -276,7 +293,7 @@ def suite_butterfly_laws(seed: int = 0) -> list[CheckResult]:
                 c = _checked(compose_butterflies(ident, f))
                 iso = find_butterfly_iso(c, f)
                 require(iso is not None)
-                require(butterfly_beta(c) == butterfly_beta(f))
+                require(_checked_morphism(butterfly_beta(c)) == _checked_morphism(butterfly_beta(f)))
                 n += 1
         return f"{n} isomorphic pairs"
     _check(out, "butterfly:beta:iso-invariant", beta_iso_invariant)
@@ -370,9 +387,12 @@ def suite_pushforward_cokernel(seed: int = 0) -> list[CheckResult]:
         def square(m=m):
             cat = h2_catalog(m)
             betas = all_module_morphisms(m, m)
+            product = cmodule_product(m, m).module
             n = 0
             for e1, e2 in _pairs(cat, 4):
                 sq = composition_square(e1, e2)
+                _checked_extension(sq.source, product)
+                _checked_extension(sq.target, m)
                 for g in cat[:2]:
                     for b2 in betas[:4]:
                         require(check_cocartesian_extension(
@@ -404,6 +424,7 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
                     if src.middle.order > 16:
                         continue
                     lift = pushforward_extension(src, beta)
+                    _checked_extension(lift.target, beta.cod)
                     for g in h2_catalog(m2)[:2]:
                         for b2 in all_module_morphisms(m2, m2)[:2]:
                             require(check_cocartesian_extension(
@@ -443,11 +464,13 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
             if e.middle.order > 8:
                 continue
             betas = all_module_morphisms(m, m)[:2]
+            product = cmodule_product(m, m).module
             for beta in betas:
                 l1 = pushforward_extension(e, beta)
                 pl = product_of_lifts(l1, l1)
-                from .universal import extension_product
-
+                _checked_extension(pl.source, product)
+                _checked_extension(pl.target, product)
+                _checked_morphism(pl.beta)
                 tgt = extension_product(l1.target, l1.target)
                 for b2 in all_module_morphisms(pl.beta.cod, pl.beta.cod)[:2]:
                     require(check_cocartesian_extension(

@@ -234,3 +234,154 @@ def test_search_is_a_torsor_that_exists_by_class(catalog_sweep):
     for _, m in standard_modules():
         unit = unit_extension(m)
         assert len(fibre_morphisms(unit, unit)) == z1(m).group.order
+
+
+# --- the invariants the constructions no longer check ---------------------
+
+
+def _valid_extension(e, module):
+    """e passes build_extension, its arrows pass build_hom, and it induces module."""
+    k, g = e.kernel_arrow, e.quotient_arrow
+    valid = build_extension(build_hom(k.dom, k.cod, k.map), build_hom(g.dom, g.cod, g.map))
+    assert valid == e
+    assert valid.module == module and e.module == module
+
+
+def _valid_morphism(beta, dom, cod):
+    """beta passes cmodule_morphism and runs from dom to cod."""
+    assert cmodule_morphism(beta.dom, beta.cod, beta.hom.map) == beta
+    assert beta.dom == dom and beta.cod == cod
+
+
+def test_constructions_built_by_invariant_pass_the_public_validators():
+    """Every abelian extension and module morphism that the H2 layer builds
+    without validation passes the public validators, over all 22 modules."""
+    from bfly.actions import (
+        add_morphisms,
+        cmodule_product,
+        compose_morphisms,
+        identity_morphism,
+        negate,
+        pair_codiagonal,
+    )
+    from bfly.butterflies import butterfly_beta
+    from bfly.universal import composition_square, extension_product, product_of_lifts
+    from bfly.verify import _loop_pool
+
+    mods = standard_modules()
+    assert len(mods) == 22
+    for _, m in mods:
+        square = cmodule_product(m, m).module
+        unit = unit_extension(m)
+        _valid_extension(unit, m)
+        h2 = cohomology(m, 2)
+        for coords in itertools.product(*[range(f) for f in h2.factors]):
+            _valid_extension(extension_from_2cocycle(h2.representative(coords)), m)
+        cat = h2_catalog(m)
+        for e1, e2 in list(itertools.product(cat, repeat=2))[:4]:
+            _valid_extension(baer_sum(e1, e2), m)
+            _valid_extension(extension_product(e1, e2), square)
+            sq = composition_square(e1, e2)
+            _valid_extension(sq.source, square)
+            _valid_extension(sq.target, m)
+            _valid_morphism(sq.beta, square, m)
+        for _, m2 in mods:
+            if m2.base != m.base:
+                continue
+            square2 = cmodule_product(m2, m2).module
+            for beta in all_module_morphisms(m, m2)[:2]:
+                for e in (unit, cat[-1]):
+                    lift = pushforward_extension(e, beta)
+                    _valid_extension(lift.target, m2)
+                    pl = product_of_lifts(lift, lift)
+                    _valid_extension(pl.source, square)
+                    _valid_extension(pl.target, square2)
+                    _valid_morphism(pl.beta, square, square2)
+        endos = all_module_morphisms(m, m)
+        _valid_morphism(identity_morphism(m), m, m)
+        _valid_morphism(zero_morphism(m, m), m, m)
+        _valid_morphism(pair_codiagonal(cmodule_product(m, m), m), square, m)
+        for f, g in itertools.product(endos[:3], repeat=2):
+            _valid_morphism(negate(f), m, m)
+            _valid_morphism(compose_morphisms(f, g), m, m)
+            _valid_morphism(add_morphisms(f, g), m, m)
+        for loop in _loop_pool(m):
+            _valid_morphism(butterfly_beta(loop), m, m)
+
+
+def _sibling(module):
+    """A standard module on the same base and coefficients with another action."""
+    return next((m for _, m in standard_modules()
+                 if m.base == module.base and m.coeff == module.coeff and m != module), None)
+
+
+def _off_on_one_coset(e):
+    """e with its quotient arrow sent to 0 on the coset of the least element
+    outside the kernel, so that the sequence is no longer exact."""
+    from dataclasses import replace
+
+    from bfly.groups import _hom
+
+    gamma = e.quotient_arrow
+    x = int(np.flatnonzero(gamma.map)[0])
+    mapping = gamma.map.copy()
+    mapping[e.middle.table[x, e.kernel_arrow.map]] = 0
+    return replace(e, quotient_arrow=_hom(gamma.dom, gamma.cod, mapping))
+
+
+def _not_equivariant(beta):
+    """beta's map into a module on the same coefficients with another action."""
+    from bfly.actions import CModuleMorphism
+    from bfly.groups import _hom
+
+    other = _sibling(beta.cod)
+    if other is None:
+        return beta
+    return CModuleMorphism(beta.dom, other, _hom(beta.dom.coeff, other.coeff, beta.hom.map))
+
+
+def _lands_elsewhere(lift):
+    """lift whose target, still labelled with beta's codomain, is the split
+    extension of a module with the same coefficients and another action."""
+    from dataclasses import replace
+
+    from bfly.extensions import _extension
+
+    other = _sibling(lift.beta.cod)
+    if other is None:
+        return lift
+    u = unit_extension(other)
+    return replace(lift, target=_extension(u.kernel_arrow, u.quotient_arrow, lift.beta.cod))
+
+
+def test_verify_fails_a_broken_h2_construction_by_its_validator(monkeypatch):
+    """The Baer sum, beta and the pushforward build by invariant, so a broken
+    one must fail the check that validates it, with the validator's error."""
+    from bfly import verify
+
+    real_sum, real_beta, real_push = (verify.baer_sum, verify.butterfly_beta,
+                                      verify.pushforward_extension)
+    monkeypatch.setattr(verify, "baer_sum", lambda e1, e2: _off_on_one_coset(real_sum(e1, e2)))
+    monkeypatch.setattr(verify, "butterfly_beta", lambda b: _not_equivariant(real_beta(b)))
+    monkeypatch.setattr(verify, "pushforward_extension",
+                        lambda e, beta: _lands_elsewhere(real_push(e, beta)))
+
+    pi0 = verify.run_suite("h2-pi0")
+    failed = [r for r in pi0 if not r.passed]
+    assert {r.name.rsplit(":", 1)[0] for r in failed} == {"h2:baer-sum-adds-classes"}
+    assert len(failed) == 22
+    assert all(r.detail == "NotExact: (kernel, quotient) is not short exact" for r in failed)
+
+    laws = {r.name: r for r in verify.run_suite("butterfly-laws")}
+    assert {name for name, r in laws.items() if not r.passed} == {
+        "butterfly:compose:beta-functorial", "butterfly:beta:iso-invariant",
+        "butterfly:from-morphism:tensor-unit-comparison"}
+    for name in ("butterfly:compose:beta-functorial", "butterfly:beta:iso-invariant"):
+        assert laws[name].detail.startswith("NotEquivariant: ")
+
+    opf = {r.name: r for r in verify.run_suite("opfibration")}
+    named = ("h2:pushforward:cocartesian-universal-property",
+             "h2:pushforward:product-of-lifts-cocartesian")
+    assert {name for name, r in opf.items() if not r.passed} == set(named)
+    for name in named:
+        assert opf[name].detail == "the extension does not induce the expected module"
