@@ -24,7 +24,6 @@ from .actions import (
     identity_morphism,
     induced_module,
     negate,
-    pair_codiagonal,
 )
 from .crossed import CrossedModule, _xmod, associated_groupoid
 from .errors import (
@@ -48,20 +47,16 @@ from .groups import (
     GroupHom,
     ProductResult,
     PullbackResult,
-    _group,
+    _coset_quotient,
     _hom,
-    _label_cosets,
     compose,
     cooperator_sums,
     direct_product,
     factor_through,
-    hom_from_cosets,
     identity_hom,
-    is_normal,
     is_short_exact,
     kernel,
     pullback,
-    quotient_by,
     semidirect_product,
     zero_hom,
 )
@@ -201,17 +196,15 @@ def pushforward_xext(
     """Cocartesian lift along beta: middle (B' x E2)/{(beta b, -j b)}.
 
     The coset {(b' + beta b, x - j b)} is labeled by its least code
-    b' * |E2| + x, as in ``quotient_by``, but B' x E2 itself is never built.
+    b' * |E2| + x (``_coset_quotient``); B' x E2 itself is never built.
     The pairs (beta b, -j b) are central, as j(B) is (Brown, IV.3).
     """
     if beta.dom != e.module:
         raise ModuleMismatch("beta must start at the extension's module")
     bp, e2, n2 = beta.cod.coeff, e.e2, e.e2.order
-    # [b', x, b] is the code of (b' + beta b, x - j b)
-    codes = bp.table[:, None, beta.hom.map] * n2 + e2.table[:, e2.inv[e.j.map]]
-    labels, proj = _label_cosets(codes.min(axis=2).ravel())
-    lb, lx = np.divmod(labels, n2)
-    q_grp = _group(proj[bp.table[lb[:, None], lb] * n2 + e2.table[lx[:, None], lx]])
+    labels, proj, q_grp = _coset_quotient(bp, e2, np.arange(bp.order * n2),
+                                          beta.hom.map * n2 + e2.inv[e.j.map])
+    lx = labels % n2
     # g * (b', x) = (p(g) * b', g * x), read on every pair and then on its coset
     moved = (beta.cod.action.act[e.p.map][:, :, None] * n2
              + e.xm.action.act[:, None, :]).reshape(e.e1.order, -1)
@@ -252,14 +245,32 @@ def product_xext_with_data(
     return XExtProduct(xext=result, pb=pb, middle=mid)
 
 
-def tensor_xext_with_data(e: CrossedExtension, ep: CrossedExtension):
+def tensor_xext_with_data(
+    e: CrossedExtension, ep: CrossedExtension
+) -> tuple[CrossedExtension, PullbackResult, np.ndarray]:
+    """The tensor, its E1 x_C E1', and cls[x1, x2], the class of (0, (x1, x2)).
+
+    The product's pushforward along the codiagonal, fused: the coset of
+    (b, (x1, x2)) holds (0, (x1, x2 + j'b)) and its least code has this form,
+    so the middle is E2 x E2' modulo {(j b, -j' b)}, with the same labels.
+    """
     if e.module != ep.module:
         raise ModuleMismatch("tensor requires the same kernel module")
-    data = product_xext_with_data(e, ep)
-    prod_module = cmodule_product(e.module, ep.module)
-    codiag = pair_codiagonal(prod_module, e.module)
-    result, lift = pushforward_xext(data.xext, codiag)
-    return result, data, lift
+    pb = pullback(e.p, ep.p)
+    n2 = ep.e2.order
+    labels, proj, q_grp = _coset_quotient(e.e2, ep.e2, np.arange(e.e2.order * n2),
+                                          e.j.map * n2 + ep.e2.inv[ep.j.map])
+    lx, lxp = np.divmod(labels, n2)
+    bnd = _hom(q_grp, pb.group, pb.pair_index(e.xm.boundary.map[lx], ep.xm.boundary.map[lxp]))
+    # (g, g') * (x, x') = (g * x, g' * x'), read on every pair and then on its coset
+    moved = (e.xm.action.act[pb.p1.map][:, :, None] * n2
+             + ep.xm.action.act[pb.p2.map][:, None, :]).reshape(pb.group.order, -1)
+    act = factor_through(proj, proj[moved], q_grp.order)
+    if act is None:
+        raise ActionNotWellDefined("pushforward action is not constant on cosets")
+    result = _xext(_hom(e.b, q_grp, proj[ep.j.map]), _xmod(bnd, act),
+                   compose(ep.p, pb.p2), e.module)
+    return result, pb, proj.reshape(e.e2.order, n2)
 
 
 def tensor_xext(e: CrossedExtension, ep: CrossedExtension) -> CrossedExtension:
@@ -396,19 +407,25 @@ def butterfly_beta(b: Butterfly) -> CModuleMorphism:
 
 
 def compose_butterflies(second: Butterfly, first: Butterfly) -> Butterfly:
-    """second . first, via the pullback of the legs over the shared middle."""
+    """second . first: the pullback of the legs over the shared middle,
+    modulo the image of x |-> (iota x, kappa' x), built on its codes."""
     if first.cod != second.dom:
         raise TypeMismatch("butterflies are not composable")
-    pb = pullback(first.gamma, second.delta)
-    n_elems = pb.pair_index(first.iota.map, second.kappa.map)
-    if not is_normal(pb.group, n_elems):
+    f1, f2, n = first.f_group, second.f_group, second.f_group.order
+    a, b = np.nonzero(first.gamma.map[:, None] == second.delta.map)
+    x, y = first.iota.map, second.kappa.map
+    # m + (x, y) - m lies in the image for every member m
+    inside = np.zeros(f1.order * n, dtype=bool)
+    inside[x * n + y] = True
+    if not inside[f1.conjugates(x)[a] * n + f2.conjugates(y)[b]].all():
         raise TypeMismatch("identified middle image is not normal")
-    q_grp, proj = quotient_by(pb.group, n_elems)
+    labels, proj, q_grp = _coset_quotient(f1, f2, a * n + b, x * n + y)
     # (kappa(x), 0) and (0, iota'(x')) lie in the pullback: the wings are complexes
-    kappa = _hom(first.kappa.dom, q_grp, proj.map[pb.pair_index(first.kappa.map, 0)])
-    iota = _hom(second.iota.dom, q_grp, proj.map[pb.pair_index(0, second.iota.map)])
-    delta = hom_from_cosets(proj, compose(first.delta, pb.p1))
-    gamma = hom_from_cosets(proj, compose(second.gamma, pb.p2))
+    kappa = _hom(first.kappa.dom, q_grp, proj[first.kappa.map * n])
+    iota = _hom(second.iota.dom, q_grp, proj[second.iota.map])
+    # delta kills iota(E2) and gamma' kills kappa'(E2): the legs read each least member
+    delta = _hom(q_grp, first.delta.cod, first.delta.map[labels // n])
+    gamma = _hom(q_grp, second.gamma.cod, second.gamma.map[labels % n])
     return _butterfly(first.dom, second.cod, q_grp, kappa, iota, delta, gamma)
 
 
@@ -554,9 +571,9 @@ def loop_to_extension(b: Butterfly) -> AbelianExtension:
 def tensor_unit_comparison(e: CrossedExtension) -> XExtMorphism:
     """Canonical vertical comparison E -> E (x) I over the identity."""
     unit = unit_xext(e.module)
-    tensored, data, lift = tensor_xext_with_data(e, unit)
-    f1 = _hom(e.e1, data.pb.group, data.pb.pair_index(np.arange(e.e1.order), e.p.map))
-    f2 = compose(lift.f2, data.middle.inj1)
+    tensored, pb, cls = tensor_xext_with_data(e, unit)
+    f1 = _hom(e.e1, pb.group, pb.pair_index(np.arange(e.e1.order), e.p.map))
+    f2 = _hom(e.e2, tensored.e2, cls[:, 0])
     return XExtMorphism(e, tensored, identity_morphism(e.module), f2, f1)
 
 
@@ -569,7 +586,7 @@ def inverse_witness(e: CrossedExtension) -> Butterfly:
     embedding.
     """
     star = inverse_xext(e)
-    tensored, data, lift = tensor_xext_with_data(e, star)
+    tensored, pb, cls = tensor_xext_with_data(e, star)
     unit = unit_xext(e.module)
 
     gpd = associated_groupoid(e.xm)
@@ -578,14 +595,14 @@ def inverse_witness(e: CrossedExtension) -> Butterfly:
     pc = compose(e.p, gpd.c)
     k_sub = kernel(pc)
     # p.c = p.d on the groupoid, so (c(f), d(f)) is in E1 x_C E1
-    cd = _hom(sd, data.pb.group, data.pb.pair_index(gpd.c.map, gpd.d.map))
+    cd = _hom(sd, pb.group, pb.pair_index(gpd.c.map, gpd.d.map))
 
     # transport the canonical tensor middle onto Ker(p . c): the class of
     # (b, (x1, x2)) goes to (-j(b), 0) + (-x1 + bnd(x1) * x2, bnd(x1)), the
     # cooperator of the two kernel sections of the groupoid
     e2, bnd = e.e2, e.xm.boundary.map
     t2 = tensored.e2
-    target = t2.table[tensored.j.map[:, None], lift.f2.map]     # [b, (x1, x2)]
+    target = t2.table[tensored.j.map[:, None], cls.ravel()]     # [b, (x1, x2)]
     coop = e2.table[e2.inv[:, None], e.xm.action.act[bnd]] * ng + bnd[:, None]
     w = sd.table[np.ix_(e2.inv[e.j.map] * ng, coop.ravel())]
     k_pos = np.full(sd.order, -1, dtype=np.int64)

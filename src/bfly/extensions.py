@@ -16,7 +16,6 @@ from . import _kernels
 from .actions import (
     CModule,
     CModuleMorphism,
-    GroupAction,
     identity_morphism,
     induced_module,
 )
@@ -29,14 +28,11 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    PullbackResult,
+    _coset_quotient,
     _group,
     _hom,
     compose,
-    hom_from_cosets,
     is_short_exact,
-    pullback,
-    quotient_by,
     semidirect_product,
 )
 
@@ -116,24 +112,27 @@ def unit_extension(module: CModule) -> AbelianExtension:
 
 
 def _baer_quotient(
-    e1: AbelianExtension, e2: AbelianExtension
-) -> tuple[PullbackResult, GroupHom, AbelianExtension]:
-    """The pullback E1 x_C E2, its quotient map by the antidiagonal copy of
-    B, and the quotient as an extension of C by B."""
+    e1: AbelianExtension, e2: AbelianExtension, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, AbelianExtension]:
+    """E1 x_C E2, given as its member pairs (a, b) in lexicographic order,
+    modulo the antidiagonal copy of B, as an extension of C by B; also
+    proj[a * |E2| + b], the index of each pair's coset."""
     if e1.module != e2.module:
         raise ModuleMismatch("Baer sum requires the same kernel module")
-    k1, g1 = e1.kernel_arrow, e1.quotient_arrow
-    k2, g2 = e2.kernel_arrow, e2.quotient_arrow
-    pb = pullback(g1, g2)
-    q_grp, proj = quotient_by(pb.group, pb.pair_index(k1.map, k2.cod.inv[k2.map]))
-    kernel_arrow = _hom(k1.dom, q_grp, proj.map[pb.pair_index(k1.map, 0)])
-    quotient_arrow = hom_from_cosets(proj, compose(g1, pb.p1))
-    return pb, proj, _extension(kernel_arrow, quotient_arrow, e1.module)
+    k1, k2, n2 = e1.kernel_arrow, e2.kernel_arrow, e2.middle.order
+    labels, proj, q_grp = _coset_quotient(e1.middle, e2.middle, a * n2 + b,
+                                          k1.map * n2 + k2.cod.inv[k2.map])
+    kernel_arrow = _hom(k1.dom, q_grp, proj[k1.map * n2])
+    # kappa1(B) is the kernel of gamma1, so a coset's pairs share gamma1(a)
+    gamma = e1.quotient_arrow
+    quotient_arrow = _hom(q_grp, gamma.cod, gamma.map[labels // n2])
+    return proj, _extension(kernel_arrow, quotient_arrow, e1.module)
 
 
 def baer_sum(e1: AbelianExtension, e2: AbelianExtension) -> AbelianExtension:
     """Pullback over the base, then quotient by the antidiagonal kernel."""
-    return _baer_quotient(e1, e2)[2]
+    a, b = np.nonzero(e1.quotient_arrow.map[:, None] == e2.quotient_arrow.map)
+    return _baer_quotient(e1, e2, a, b)[1]
 
 
 def pushforward_extension(
@@ -141,21 +140,23 @@ def pushforward_extension(
 ) -> ExtensionLift:
     """Cocartesian lift of an extension along a module morphism.
 
-    The total group before quotienting is B' twisted by the base action of
-    the middle group (so the identified subgroup is normal).
+    The middle is B' x| E, E acting through gamma, modulo the normal
+    subgroup {(beta b, -kappa b)}.  Its elements kappa(b) act trivially on
+    B', so the coset of (b', x) is {(b' + beta b, -kappa b + x)}, and only
+    the quotient's table uses the action.
     """
     if beta.dom != ext.module:
         raise ModuleMismatch("beta must start at the extension's module")
     kappa, gamma = ext.kernel_arrow, ext.quotient_arrow
-    e_grp = ext.middle
-    # E acts on B' through gamma: an action by automorphisms
-    sd = semidirect_product(GroupAction(e_grp, beta.cod.coeff, beta.cod.action.act[gamma.map]))
-    q_grp, proj = quotient_by(sd.group, beta.hom.map * e_grp.order + e_grp.inv[kappa.map])
-    kernel_arrow = compose(proj, sd.inj_normal)
-    quotient_arrow = hom_from_cosets(proj, compose(gamma, sd.retraction))
+    bp, n = beta.cod.coeff, ext.middle.order
+    labels, proj, q_grp = _coset_quotient(
+        bp, ext.middle, np.arange(bp.order * n), beta.hom.map * n + ext.middle.inv[kappa.map],
+        twist=beta.cod.action.act[gamma.map])
+    kernel_arrow = _hom(bp, q_grp, proj[np.arange(bp.order) * n])
+    quotient_arrow = _hom(q_grp, gamma.cod, gamma.map[labels % n])
     target = _extension(kernel_arrow, quotient_arrow, beta.cod)
-    mid = compose(proj, sd.inj_actor)
-    return ExtensionLift(source=ext, beta=beta, mid=mid, target=target)
+    return ExtensionLift(source=ext, beta=beta, mid=_hom(ext.middle, q_grp, proj[:n]),
+                         target=target)
 
 
 def extension_morphisms_over(

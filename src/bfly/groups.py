@@ -329,27 +329,43 @@ def is_normal(g: FiniteGroup, elements) -> bool:
     return bool(member[g.conjugates(elems)].all())
 
 
-def _label_cosets(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cosets labeled by least member, from rep[a] = least member of a's coset.
+def _coset_quotient(
+    a: FiniteGroup, b: FiniteGroup, members, normal, twist=None
+) -> tuple[np.ndarray, np.ndarray, FiniteGroup]:
+    """M/N on codes x * |B| + y, for M a subgroup of A x B and N normal in M.
 
-    Returns the least members in increasing order (the identity coset first)
-    and proj[a] = the label of a's coset.
+    ``members`` lists M's codes in increasing order, ``normal`` N's.  The
+    law is componentwise, or (x, y) + (x', y') = (x + y * x', y + y') with
+    ``twist[y, x]`` = y * x where N's B digits act trivially; either way the
+    coset N + m is read digit by digit.  Each coset is labeled by its least
+    code and M/N's table is built on the labels alone.  Returns the labels
+    in increasing order, proj[code] = the index of a member's coset (-1 off
+    M), and M/N.
     """
-    labels = np.flatnonzero(rep == np.arange(len(rep)))
-    pos = np.full(len(rep), -1, dtype=np.int64)
-    pos[labels] = np.arange(len(labels))
-    return labels, pos[rep]
+    nb = b.order
+    members = np.asarray(members, dtype=np.int64)
+    mx, my = np.divmod(members, nb)
+    nx, ny = np.divmod(np.asarray(normal, dtype=np.int64), nb)
+    rep = (a.table[nx, mx[:, None]] * nb + b.table[ny, my[:, None]]).min(axis=1)
+    labels = members[rep == members]
+    proj = np.full(a.order * nb, -1, dtype=np.int64)
+    proj[labels] = np.arange(len(labels))
+    proj[members] = proj[rep]
+    proj.setflags(write=False)
+    lx, ly = np.divmod(labels, nb)
+    moved = lx if twist is None else twist[ly[:, None], lx]
+    q = _group(proj[a.table[lx[:, None], moved] * nb + b.table[ly[:, None], ly]])
+    return labels, proj, q
 
 
 def quotient_by(g: FiniteGroup, normal_elements) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient by a normal subgroup, cosets labeled as in ``_label_cosets``."""
+    """Quotient by a normal subgroup, cosets labeled as in ``_coset_quotient``."""
     nelems = sorted(set(int(e) for e in normal_elements))
     member = _membership(g, nelems)
     # a finite subset that holds 0 and is closed under + is a subgroup
     subgroup = member[0] and member[g.table[np.ix_(nelems, nelems)]].all()
     require(subgroup and is_normal(g, nelems), "quotient_by requires a normal subgroup")
-    labels, proj = _label_cosets(g.table[:, nelems].min(axis=1))
-    q = _group(proj[g.table[np.ix_(labels, labels)]])
+    _, proj, q = _coset_quotient(g, _group([[0]]), np.arange(g.order), nelems)
     return q, _hom(g, q, proj)
 
 
@@ -551,19 +567,3 @@ def factor_through(labels: np.ndarray, values: np.ndarray, size: int) -> np.ndar
     out = np.full(values.shape[:-1] + (size,), -1, dtype=np.int64)
     out[..., present] = values[..., first]
     return None if (out[..., labels] != values).any() else out
-
-
-def hom_from_cosets(
-    proj: GroupHom, quotient_map_target: GroupHom
-) -> GroupHom:
-    """Unique hom q -> T with result . proj = quotient_map_target.
-
-    Requires the target map to be constant on proj-fibres; proj is a
-    surjective hom, so the factored map is a hom.
-    """
-    m = factor_through(proj.map, quotient_map_target.map, proj.cod.order)
-    if m is None:
-        raise NotHomomorphism("map does not factor through the quotient")
-    if (m < 0).any():
-        raise NotHomomorphism("map values must be codomain indices")
-    return _hom(proj.cod, quotient_map_target.cod, m)

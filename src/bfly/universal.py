@@ -91,6 +91,11 @@ def extension_product(
     a: AbelianExtension, b: AbelianExtension
 ) -> AbelianExtension:
     """Fibre product over the shared base: middle E x_C E', kernel B x B'."""
+    return _fibre_product(a, b)[0]
+
+
+def _fibre_product(a: AbelianExtension, b: AbelianExtension):
+    """The fibre product extension, its pullback and its kernel module product."""
     from .actions import cmodule_product
     from .extensions import _extension
     from .groups import _hom, pullback
@@ -101,20 +106,18 @@ def extension_product(
     pb = pullback(a.quotient_arrow, b.quotient_arrow)
     kappa = _hom(pm.module.coeff, pb.group,
                  pb.pair_index(a.kernel_arrow.map[:, None], b.kernel_arrow.map).ravel())
-    return _extension(kappa, compose(a.quotient_arrow, pb.p1), pm.module)
+    return _extension(kappa, compose(a.quotient_arrow, pb.p1), pm.module), pb, pm
 
 
 def product_of_lifts(l1: ExtensionLift, l2: ExtensionLift) -> ExtensionLift:
     """The fibre-product square of two extension lifts."""
     from .actions import _cmodule_morphism
-    from .groups import _hom, pullback
+    from .groups import _hom
 
-    dom_ext = extension_product(l1.source, l2.source)
-    target_ext = extension_product(l1.target, l2.target)
+    dom_ext, pb_dom, _ = _fibre_product(l1.source, l2.source)
+    target_ext, pb_tgt, _ = _fibre_product(l1.target, l2.target)
     mapping = l1.beta.hom.map[:, None] * l2.beta.cod.coeff.order + l2.beta.hom.map
     beta = _cmodule_morphism(dom_ext.module, target_ext.module, mapping.ravel())
-    pb_dom = pullback(l1.source.quotient_arrow, l2.source.quotient_arrow)
-    pb_tgt = pullback(l1.target.quotient_arrow, l2.target.quotient_arrow)
     mid = _hom(dom_ext.middle, target_ext.middle,
                pb_tgt.pair_index(l1.mid.map[pb_dom.p1.map], l2.mid.map[pb_dom.p2.map]))
     return ExtensionLift(source=dom_ext, beta=beta, mid=mid, target=target_ext)
@@ -130,14 +133,12 @@ def composition_square(
     the quotient map is the cocartesian lift of the product-kernel
     extension along the codiagonal.
     """
-    from .actions import cmodule_product, pair_codiagonal
-    from .extensions import _baer_quotient, _extension
+    from .actions import pair_codiagonal
+    from .extensions import _baer_quotient
     from .groups import _hom
 
-    pb, proj, target = _baer_quotient(e, ep)
-    pm = cmodule_product(e.module, ep.module)
-    kappa = _hom(pm.module.coeff, pb.group,
-                 pb.pair_index(e.kernel_arrow.map[:, None], ep.kernel_arrow.map).ravel())
-    dom_ext = _extension(kappa, compose(e.quotient_arrow, pb.p1), pm.module)
+    dom_ext, pb, pm = _fibre_product(e, ep)
+    proj, target = _baer_quotient(e, ep, pb.p1.map, pb.p2.map)
+    mid = _hom(pb.group, target.middle, proj[pb.p1.map * ep.middle.order + pb.p2.map])
     beta = pair_codiagonal(pm, e.module)
-    return ExtensionLift(source=dom_ext, beta=beta, mid=proj, target=target)
+    return ExtensionLift(source=dom_ext, beta=beta, mid=mid, target=target)

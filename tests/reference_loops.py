@@ -10,16 +10,26 @@ import itertools
 import numpy as np
 
 from bfly import _kernels
-from bfly.actions import CModuleMorphism, build_action, build_cmodule, cmodule_morphism, cmodule_product
+from bfly.actions import (
+    CModuleMorphism,
+    GroupAction,
+    build_action,
+    build_cmodule,
+    cmodule_morphism,
+    cmodule_product,
+    pair_codiagonal,
+)
 from bfly.butterflies import (
     Butterfly,
     ButterflyIso,
     XExtMorphism,
+    _butterfly,
     build_crossed_extension,
     build_xext_morphism,
     inverse_xext,
     is_flippable,
-    tensor_xext_with_data,
+    product_xext_with_data,
+    pushforward_xext,
     unit_xext,
 )
 from bfly.cohomology import (
@@ -31,6 +41,7 @@ from bfly.cohomology import (
     cyclic_group,
 )
 from bfly.crossed import CrossedModule, InternalGroupoid, build_crossed_module
+from bfly.extensions import ExtensionLift, _extension
 from bfly.errors import (
     ActionNotWellDefined,
     BaseMismatch,
@@ -701,10 +712,11 @@ def ref_inverse_witness(e):
     """Flippable butterfly from E (x) E* to the unit, with F = E2 x| E1.
 
     ``data.middle_pair_index[(x1, x2)]`` of the parent reads
-    ``data.middle.pair_index(x1, x2)`` here.
+    ``data.middle.pair_index(x1, x2)`` here, and the tensor is the two-step
+    ``ref_tensor_xext_with_data``.
     """
     star = inverse_xext(e)
-    tensored, data, lift = tensor_xext_with_data(e, star)
+    tensored, data, lift = ref_tensor_xext_with_data(e, star)
     unit = unit_xext(e.module)
 
     gpd = ref_associated_groupoid(e.xm)
@@ -826,3 +838,74 @@ def ref_pushforward_equivariant(m, cat, mods):
                 n += 1
         break
     return f"{n} pushforwards"
+
+
+# --- quotients of fibre products in two steps: the whole group, then quotient_by
+
+
+def ref_tensor_xext_with_data(e, ep):
+    """The product of crossed extensions, then its pushforward along the codiagonal."""
+    if e.module != ep.module:
+        raise ModuleMismatch("tensor requires the same kernel module")
+    data = product_xext_with_data(e, ep)
+    prod_module = cmodule_product(e.module, ep.module)
+    codiag = pair_codiagonal(prod_module, e.module)
+    result, lift = pushforward_xext(data.xext, codiag)
+    return result, data, lift
+
+
+def ref_baer_quotient(e1, e2):
+    """The pullback E1 x_C E2, its quotient map by the antidiagonal copy of
+    B, and the quotient as an extension of C by B."""
+    if e1.module != e2.module:
+        raise ModuleMismatch("Baer sum requires the same kernel module")
+    k1, g1 = e1.kernel_arrow, e1.quotient_arrow
+    k2, g2 = e2.kernel_arrow, e2.quotient_arrow
+    pb = pullback(g1, g2)
+    q_grp, proj = ref_quotient_by(pb.group, pb.pair_index(k1.map, k2.cod.inv[k2.map]))
+    kernel_arrow = _hom(k1.dom, q_grp, proj.map[pb.pair_index(k1.map, 0)])
+    quotient_arrow = ref_hom_from_cosets(proj, compose(g1, pb.p1))
+    return pb, proj, _extension(kernel_arrow, quotient_arrow, e1.module)
+
+
+def ref_composition_square(e, ep):
+    """The square of the composite of two loops, from the two-step Baer quotient."""
+    pb, proj, target = ref_baer_quotient(e, ep)
+    pm = cmodule_product(e.module, ep.module)
+    kappa = _hom(pm.module.coeff, pb.group,
+                 pb.pair_index(e.kernel_arrow.map[:, None], ep.kernel_arrow.map).ravel())
+    dom_ext = _extension(kappa, compose(e.quotient_arrow, pb.p1), pm.module)
+    beta = pair_codiagonal(pm, e.module)
+    return ExtensionLift(source=dom_ext, beta=beta, mid=proj, target=target)
+
+
+def ref_pushforward_extension(ext, beta):
+    """Cocartesian lift of an extension: B' x| E, E acting through gamma,
+    modulo {(beta b, -kappa b)}."""
+    if beta.dom != ext.module:
+        raise ModuleMismatch("beta must start at the extension's module")
+    kappa, gamma = ext.kernel_arrow, ext.quotient_arrow
+    e_grp = ext.middle
+    sd = semidirect_product(GroupAction(e_grp, beta.cod.coeff, beta.cod.action.act[gamma.map]))
+    q_grp, proj = ref_quotient_by(sd.group, beta.hom.map * e_grp.order + e_grp.inv[kappa.map])
+    kernel_arrow = compose(proj, sd.inj_normal)
+    quotient_arrow = ref_hom_from_cosets(proj, compose(gamma, sd.retraction))
+    target = _extension(kernel_arrow, quotient_arrow, beta.cod)
+    mid = compose(proj, sd.inj_actor)
+    return ExtensionLift(source=ext, beta=beta, mid=mid, target=target)
+
+
+def ref_compose_butterflies(second, first):
+    """second . first, via the pullback of the legs over the shared middle."""
+    if first.cod != second.dom:
+        raise TypeMismatch("butterflies are not composable")
+    pb = pullback(first.gamma, second.delta)
+    n_elems = pb.pair_index(first.iota.map, second.kappa.map)
+    if not is_normal(pb.group, n_elems):
+        raise TypeMismatch("identified middle image is not normal")
+    q_grp, proj = ref_quotient_by(pb.group, n_elems)
+    kappa = _hom(first.kappa.dom, q_grp, proj.map[pb.pair_index(first.kappa.map, 0)])
+    iota = _hom(second.iota.dom, q_grp, proj.map[pb.pair_index(0, second.iota.map)])
+    delta = ref_hom_from_cosets(proj, compose(first.delta, pb.p1))
+    gamma = ref_hom_from_cosets(proj, compose(second.gamma, pb.p2))
+    return _butterfly(first.dom, second.cod, q_grp, kappa, iota, delta, gamma)

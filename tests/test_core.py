@@ -337,7 +337,7 @@ def test_derived_constructions_pass_full_validation(s3):
             same_hom(gpd.ker_d_section)
             ident = identity_butterfly(e)
             same_hom(cooperator(ident.kappa, ident.iota))
-            comp = compose_butterflies(ident, ident)    # wings by _hom, legs by hom_from_cosets
+            comp = compose_butterflies(ident, ident)    # wings and legs by _hom
             same_butterfly(comp)
             same_hom(find_butterfly_iso(comp, ident).sigma)
             same_hom(inverse_xext(e).j)
@@ -474,10 +474,9 @@ def test_closures_match_the_fixed_point_loops(s3):
 
 
 def test_quotients_and_cooperators_match_the_loops(s3):
-    """quotient_by, hom_from_cosets and cooperator against the parent's loops."""
+    """quotient_by and cooperator against the parent's loops."""
     from bfly.errors import BflyError
-    from bfly.groups import hom_from_cosets
-    from reference_loops import ref_cooperator, ref_hom_from_cosets, ref_quotient_by
+    from reference_loops import ref_cooperator, ref_quotient_by
 
     def outcome(fn, *args):
         try:
@@ -495,17 +494,13 @@ def test_quotients_and_cooperators_match_the_loops(s3):
             q, proj = quotient_by(g, f.kernel_elements())
             want_q, want_proj = ref_quotient_by(g, f.kernel_elements())
             assert q == want_q and proj == want_proj, (gn, hn)
-            for t in homs[:4]:
-                got = outcome(hom_from_cosets, proj, t)
-                assert got == outcome(ref_hom_from_cosets, proj, t), (gn, hn)
-                raised.add(got[0] if isinstance(got, tuple) else None)
     for hn in ("S3", "S3'", "Z2xZ4", "K4"):
         into = [f for g in groups.values() if g.order <= 8 for f in all_homs(g, groups[hn])[:2]]
         for kappa, iota in itertools.product(into, repeat=2):
             got = outcome(cooperator, kappa, iota)
             assert got == outcome(ref_cooperator, kappa, iota), hn
             raised.add(got[0] if isinstance(got, tuple) else None)
-    assert {None, NotHomomorphism, ImagesDoNotCommute} <= raised
+    assert {None, ImagesDoNotCommute} <= raised
 
 
 # --- memoized searches ----------------------------------------------------

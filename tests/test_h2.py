@@ -385,3 +385,90 @@ def test_verify_fails_a_broken_h2_construction_by_its_validator(monkeypatch):
     assert {name for name, r in opf.items() if not r.passed} == set(named)
     for name in named:
         assert opf[name].detail == "the extension does not induce the expected module"
+
+
+# --- quotients of fibre products built on codes -----------------------------
+
+
+def _class_one_of_z4_on_z16():
+    """The extension of class (1,) of Z4 acting trivially on Z16 (|E| = 64)."""
+    from bfly.actions import trivial_module
+
+    m = trivial_module(cyclic_group(4), cyclic_group(16))
+    return m, extension_from_2cocycle(cohomology(m, 2).representative((1,)))
+
+
+def test_baer_sum_answers_under_the_default_cap():
+    """E x_C E has order 1024; the sum has order 64 and no larger group is built."""
+    _, e = _class_one_of_z4_on_z16()
+    total = baer_sum(e, e)
+    assert total.middle.order == 64
+    assert class_of_extension(total).coords == (2,)
+
+
+def test_abelian_pushforward_answers_under_the_default_cap():
+    """B' x| E has order 1024; the target has order 64 and no larger group is built."""
+    from bfly.actions import identity_morphism
+
+    m, e = _class_one_of_z4_on_z16()
+    lift = pushforward_extension(e, identity_morphism(m))
+    assert lift.target.middle.order == 64
+    assert are_fibre_isomorphic(lift.target, e)
+
+
+def test_product_of_lifts_builds_each_pullback_once(monkeypatch):
+    """The lifts' product reads p1, p2 and the pair index off the two
+    pullbacks of its fibre products, so one call builds two."""
+    from bfly import groups
+    from bfly.universal import product_of_lifts
+
+    real, builds = groups.pullback, []
+
+    def counted(f, g):
+        builds.append((f.dom.order, g.dom.order))
+        return real(f, g)
+
+    monkeypatch.setattr(groups, "pullback", counted)
+    m = dict(standard_modules())["Z2-Z3-a1"]
+    calls = 0
+    for ext in h2_catalog(m):
+        for beta in all_module_morphisms(m, m):
+            lift = pushforward_extension(ext, beta)
+            builds.clear()
+            product_of_lifts(lift, lift)
+            assert len(builds) == 2
+            calls += 1
+    assert calls > 1
+
+
+def test_quotients_on_codes_match_the_two_step_definitions():
+    """Over every pair of each module's h2 catalog, the Baer sum and the
+    composition square equal the whole pullback followed by the quotient, and
+    every pushforward along a module morphism equals the whole semidirect
+    product followed by the quotient, table for table."""
+    from bfly.universal import composition_square
+    from reference_loops import (
+        ref_baer_quotient,
+        ref_composition_square,
+        ref_pushforward_extension,
+    )
+
+    mods = standard_modules()
+    pushed = 0
+    for name, m in mods:
+        cat = h2_catalog(m)
+        for e1, e2 in itertools.product(cat, repeat=2):
+            got, want = baer_sum(e1, e2), ref_baer_quotient(e1, e2)[2]
+            assert got == want and got.middle == want.middle and got.module == want.module, name
+            square, want_square = composition_square(e1, e2), ref_composition_square(e1, e2)
+            assert square == want_square, name
+            assert square.target.module == want_square.target.module == m
+        for _, m2 in mods:
+            if m2.base != m.base:
+                continue
+            for beta in all_module_morphisms(m, m2):
+                for ext in cat:
+                    got, want = pushforward_extension(ext, beta), ref_pushforward_extension(ext, beta)
+                    assert got == want and got.target.module == want.target.module == m2, name
+                    pushed += 1
+    assert pushed > 100

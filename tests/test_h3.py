@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bfly.actions import identity_morphism, zero_morphism
+from bfly.actions import identity_morphism, trivial_module, zero_morphism
 from bfly.bridges import class_of_crossed_extension
 from bfly.butterflies import (
     build_butterfly,
@@ -428,8 +428,8 @@ def test_a_lower_order_cap_refuses_what_a_higher_one_built():
 
     mods = dict(standard_modules())
     e = coinduced_xext(mods["Z2-Z4-a0"], (1,))
-    tensored = tensor_xext(e, e)            # E2 x E2 has order 256
-    with order_cap(128):
+    tensored = tensor_xext(e, e)            # its middle has order 64
+    with order_cap(32):
         with pytest.raises(OrderCapExceeded):
             tensor_xext(e, e)
     assert tensor_xext(e, e) == tensored
@@ -485,3 +485,80 @@ def test_verify_fails_a_broken_construction_by_its_validator(monkeypatch):
     assert len(inverse) == 22 and not any(r.passed for r in inverse)
     assert all(r.detail.startswith("ButterflyConditionViolation: butterfly condition i:")
                for r in inverse)
+
+
+# --- quotients of fibre products built on codes -----------------------------
+
+
+def test_tensor_answers_under_the_default_cap():
+    """u (x) u for the unit of Z2 acting trivially on Z32: E2 x E2 has order
+    1024, the tensor's middle 32, and no larger group is built."""
+    u = unit_xext(trivial_module(cyclic_group(2), cyclic_group(32)))
+    tensored = tensor_xext(u, u)
+    assert tensored.e2.order == 32
+    assert class_of_crossed_extension(tensored).is_zero()
+
+
+def test_composite_butterfly_answers_under_the_default_cap():
+    """phi(e) . phi(e) for the class (1,) of Z4 acting trivially on Z16: the
+    pullback of the legs has order 1024, the composite's core 64."""
+    from bfly.extensions import baer_sum
+
+    m = trivial_module(cyclic_group(4), cyclic_group(16))
+    e = extension_from_2cocycle(cohomology(m, 2).representative((1,)))
+    comp = compose_butterflies(phi(e), phi(e))
+    assert comp.f_group.order == 64
+    assert find_butterfly_iso(comp, phi(baer_sum(e, e))) is not None
+
+
+def test_fused_tensor_and_composites_match_the_two_step_definitions():
+    """Over every pair of each module's h3 catalog, the fused tensor equals the
+    product pushed forward along the codiagonal, with the same pullback and the
+    same classes of (0, (x1, x2)); composites of inverse witnesses and of the
+    loops of every pair of the h2 catalog equal the whole pullback followed
+    by the quotient."""
+    from bfly.butterflies import tensor_xext_with_data
+    from bfly.catalog import h2_catalog
+    from reference_loops import ref_compose_butterflies, ref_tensor_xext_with_data
+
+    composites = 0
+    for name, m, entries in _xext_sweep():
+        cat = [e for _, e in entries]
+        for e1, e2 in itertools.product(cat, repeat=2):
+            got, pb, cls = tensor_xext_with_data(e1, e2)
+            want, data, lift = ref_tensor_xext_with_data(e1, e2)
+            assert got == want and got.module == want.module == m, name
+            assert pb == data.pb and np.array_equal(pb.pos, data.pb.pos)
+            assert cls.shape == (e1.e2.order, e2.e2.order)
+            assert np.array_equal(cls.ravel(), lift.f2.map), name
+        witnesses = [inverse_witness(e) for e in cat]
+        pairs = [(flip(w2), w1) for w1, w2 in itertools.product(witnesses, repeat=2)]
+        pairs += [(w, flip(w)) for w in witnesses]
+        loops = [phi(ext) for ext in h2_catalog(m)]
+        pairs += list(itertools.product(loops, repeat=2))
+        for second, first in pairs:
+            got = compose_butterflies(second, first)
+            assert got == ref_compose_butterflies(second, first), name
+            assert got.f_group == ref_compose_butterflies(second, first).f_group
+            composites += 1
+    assert composites > 200
+
+
+def test_a_non_normal_identified_image_is_refused(s3):
+    """The identified image is checked for normality on codes, as the
+    two-step composite checks it on the pullback."""
+    from bfly.butterflies import _butterfly
+    from bfly.errors import TypeMismatch
+    from bfly.groups import _hom, zero_hom
+    from reference_loops import ref_compose_butterflies
+
+    one, z2, z3 = cyclic_group(1), cyclic_group(2), cyclic_group(3)
+    x = unit_xext(trivial_module(one, z2))
+    for mid, image in ((z2, [0, 3]), (z3, [0, 1, 2])):     # a transposition; the rotations
+        first = _butterfly(x, x, s3, zero_hom(mid, s3), _hom(mid, s3, image),
+                           zero_hom(s3, one), zero_hom(s3, one))
+        second = _butterfly(x, x, mid, zero_hom(mid, mid), zero_hom(mid, mid),
+                            zero_hom(mid, one), zero_hom(mid, one))
+        got = _outcome(compose_butterflies, second, first)
+        assert got == _outcome(ref_compose_butterflies, second, first)
+        assert (got == (TypeMismatch, "identified middle image is not normal")) == (mid is z2)
