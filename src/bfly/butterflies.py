@@ -49,6 +49,7 @@ from .groups import (
     PullbackResult,
     _coset_quotient,
     _hom,
+    _is_normal_on_codes,
     compose,
     cooperator_sums,
     direct_product,
@@ -57,6 +58,7 @@ from .groups import (
     is_short_exact,
     kernel,
     pullback,
+    pullback_pairs,
     semidirect_product,
     zero_hom,
 )
@@ -258,16 +260,17 @@ def tensor_xext_with_data(
         raise ModuleMismatch("tensor requires the same kernel module")
     pb = pullback(e.p, ep.p)
     n2 = ep.e2.order
-    labels, proj, q_grp = _coset_quotient(e.e2, ep.e2, np.arange(e.e2.order * n2),
-                                          e.j.map * n2 + ep.e2.inv[ep.j.map])
+    normal = e.j.map * n2 + ep.e2.inv[ep.j.map]
+    labels, proj, q_grp = _coset_quotient(e.e2, ep.e2, np.arange(e.e2.order * n2), normal)
     lx, lxp = np.divmod(labels, n2)
     bnd = _hom(q_grp, pb.group, pb.pair_index(e.xm.boundary.map[lx], ep.xm.boundary.map[lxp]))
-    # (g, g') * (x, x') = (g * x, g' * x'), read on every pair and then on its coset
-    moved = (e.xm.action.act[pb.p1.map][:, :, None] * n2
-             + ep.xm.action.act[pb.p2.map][:, None, :]).reshape(pb.group.order, -1)
-    act = factor_through(proj, proj[moved], q_grp.order)
-    if act is None:
+    # (g, g') * (x, x') = (g * x, g' * x') is an automorphism, so it is constant
+    # on cosets when it keeps the identity coset {(j b, -j' b)}
+    act1, act2 = e.xm.action.act[pb.p1.map], ep.xm.action.act[pb.p2.map]
+    nx, nxp = np.divmod(normal, n2)
+    if proj[act1[:, nx] * n2 + act2[:, nxp]].any():
         raise ActionNotWellDefined("pushforward action is not constant on cosets")
+    act = proj[act1[:, lx] * n2 + act2[:, lxp]]
     result = _xext(_hom(e.b, q_grp, proj[ep.j.map]), _xmod(bnd, act),
                    compose(ep.p, pb.p2), e.module)
     return result, pb, proj.reshape(e.e2.order, n2)
@@ -412,14 +415,11 @@ def compose_butterflies(second: Butterfly, first: Butterfly) -> Butterfly:
     if first.cod != second.dom:
         raise TypeMismatch("butterflies are not composable")
     f1, f2, n = first.f_group, second.f_group, second.f_group.order
-    a, b = np.nonzero(first.gamma.map[:, None] == second.delta.map)
-    x, y = first.iota.map, second.kappa.map
-    # m + (x, y) - m lies in the image for every member m
-    inside = np.zeros(f1.order * n, dtype=bool)
-    inside[x * n + y] = True
-    if not inside[f1.conjugates(x)[a] * n + f2.conjugates(y)[b]].all():
+    a, b = pullback_pairs(first.gamma, second.delta)
+    members, image = a * n + b, first.iota.map * n + second.kappa.map
+    if not _is_normal_on_codes(f1, f2, members, image):
         raise TypeMismatch("identified middle image is not normal")
-    labels, proj, q_grp = _coset_quotient(f1, f2, a * n + b, x * n + y)
+    labels, proj, q_grp = _coset_quotient(f1, f2, members, image)
     # (kappa(x), 0) and (0, iota'(x')) lie in the pullback: the wings are complexes
     kappa = _hom(first.kappa.dom, q_grp, proj[first.kappa.map * n])
     iota = _hom(second.iota.dom, q_grp, proj[second.iota.map])

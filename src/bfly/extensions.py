@@ -33,6 +33,7 @@ from .groups import (
     _hom,
     compose,
     is_short_exact,
+    pullback_pairs,
     semidirect_product,
 )
 
@@ -112,13 +113,14 @@ def unit_extension(module: CModule) -> AbelianExtension:
 
 
 def _baer_quotient(
-    e1: AbelianExtension, e2: AbelianExtension, a: np.ndarray, b: np.ndarray
+    e1: AbelianExtension, e2: AbelianExtension, pairs=None
 ) -> tuple[np.ndarray, AbelianExtension]:
-    """E1 x_C E2, given as its member pairs (a, b) in lexicographic order,
-    modulo the antidiagonal copy of B, as an extension of C by B; also
-    proj[a * |E2| + b], the index of each pair's coset."""
+    """E1 x_C E2 modulo the antidiagonal copy of B, as an extension of C by
+    B, and proj[a * |E2| + b], the index of each pair's coset.  ``pairs``
+    are the pullback's member pairs, when already listed."""
     if e1.module != e2.module:
         raise ModuleMismatch("Baer sum requires the same kernel module")
+    a, b = pullback_pairs(e1.quotient_arrow, e2.quotient_arrow) if pairs is None else pairs
     k1, k2, n2 = e1.kernel_arrow, e2.kernel_arrow, e2.middle.order
     labels, proj, q_grp = _coset_quotient(e1.middle, e2.middle, a * n2 + b,
                                           k1.map * n2 + k2.cod.inv[k2.map])
@@ -131,8 +133,7 @@ def _baer_quotient(
 
 def baer_sum(e1: AbelianExtension, e2: AbelianExtension) -> AbelianExtension:
     """Pullback over the base, then quotient by the antidiagonal kernel."""
-    a, b = np.nonzero(e1.quotient_arrow.map[:, None] == e2.quotient_arrow.map)
-    return _baer_quotient(e1, e2, a, b)[1]
+    return _baer_quotient(e1, e2)[1]
 
 
 def pushforward_extension(

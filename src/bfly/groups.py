@@ -329,24 +329,54 @@ def is_normal(g: FiniteGroup, elements) -> bool:
     return bool(member[g.conjugates(elems)].all())
 
 
+# entries per |M| x |N| gather below; larger subgroups are read in slices of N
+_GATHER = 1 << 20
+
+
+def _slices(rows: int, cols: int):
+    step = max(1, _GATHER // max(rows, 1))
+    return (slice(lo, lo + step) for lo in range(0, cols, step))
+
+
+def _is_normal_on_codes(a: FiniteGroup, b: FiniteGroup, members, normal) -> bool:
+    """Whether m + n - m lies in N for every m in M, n in N; M and N are
+    subgroups of A x B given by codes x * |B| + y, as in ``_coset_quotient``."""
+    nb, normal = b.order, np.asarray(normal, dtype=np.int64)
+    mx, my = np.divmod(np.asarray(members, dtype=np.int64), nb)
+    nx, ny = np.divmod(normal, nb)
+    inside = np.zeros(a.order * nb, dtype=bool)
+    inside[normal] = True
+    for s in _slices(len(mx), len(nx)):
+        conj = (a.table[a.table[mx[:, None], nx[s]], a.inv[mx, None]] * nb
+                + b.table[b.table[my[:, None], ny[s]], b.inv[my, None]])
+        if not inside[conj].all():
+            return False
+    return True
+
+
 def _coset_quotient(
     a: FiniteGroup, b: FiniteGroup, members, normal, twist=None
 ) -> tuple[np.ndarray, np.ndarray, FiniteGroup]:
     """M/N on codes x * |B| + y, for M a subgroup of A x B and N normal in M.
 
-    ``members`` lists M's codes in increasing order, ``normal`` N's.  The
-    law is componentwise, or (x, y) + (x', y') = (x + y * x', y + y') with
-    ``twist[y, x]`` = y * x where N's B digits act trivially; either way the
-    coset N + m is read digit by digit.  Each coset is labeled by its least
-    code and M/N's table is built on the labels alone.  Returns the labels
-    in increasing order, proj[code] = the index of a member's coset (-1 off
-    M), and M/N.
+    ``members`` lists M's codes in increasing order, ``normal`` N's, each
+    once.  The law is componentwise, or (x, y) + (x', y') = (x + y * x',
+    y + y') with ``twist[y, x]`` = y * x where N's B digits act trivially;
+    either way the coset N + m is read digit by digit.  The order cap is checked on
+    |M| / |N| before anything is gathered.  Each coset is labeled by its
+    least code and M/N's table is built on the labels alone.  Returns the
+    labels in increasing order, proj[code] = the index of a member's coset
+    (-1 off M), and M/N.
     """
     nb = b.order
     members = np.asarray(members, dtype=np.int64)
-    mx, my = np.divmod(members, nb)
     nx, ny = np.divmod(np.asarray(normal, dtype=np.int64), nb)
-    rep = (a.table[nx, mx[:, None]] * nb + b.table[ny, my[:, None]]).min(axis=1)
+    _check_order(len(members) // len(nx))
+    mx, my = np.divmod(members, nb)
+    rep = members
+    for s in _slices(len(members), len(nx)):
+        coset = a.table[nx[s], mx[:, None]] * nb + b.table[ny[s], my[:, None]]
+        rep = np.minimum(rep, coset.min(axis=1))
     labels = members[rep == members]
     proj = np.full(a.order * nb, -1, dtype=np.int64)
     proj[labels] = np.arange(len(labels))
@@ -417,15 +447,20 @@ class PullbackResult:
         return self.pos[a, b]
 
 
+def pullback_pairs(f: GroupHom, g: GroupHom) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b) with f(a) = g(b), in lexicographic order."""
+    if f.cod != g.cod:
+        raise DomainMismatch("pullback requires a shared codomain")
+    return np.nonzero(f.map[:, None] == g.map[None, :])
+
+
 def pullback(f: GroupHom, g: GroupHom) -> PullbackResult:
     """{(a, b) : f(a) = g(b)} in lexicographic order, with its projections.
 
     The table is built on the member pairs alone, so the order cap bounds
     the pullback and not the product A x B around it.
     """
-    if f.cod != g.cod:
-        raise DomainMismatch("pullback requires a shared codomain")
-    a, b = np.nonzero(f.map[:, None] == g.map[None, :])
+    a, b = pullback_pairs(f, g)
     nb = g.dom.order
     _check_order(len(a))
     pos = np.full((f.dom.order, nb), -1, dtype=np.int64)

@@ -138,7 +138,7 @@ def composition_square(
     from .groups import _hom
 
     dom_ext, pb, pm = _fibre_product(e, ep)
-    proj, target = _baer_quotient(e, ep, pb.p1.map, pb.p2.map)
+    proj, target = _baer_quotient(e, ep, (pb.p1.map, pb.p2.map))
     mid = _hom(pb.group, target.middle, proj[pb.p1.map * ep.middle.order + pb.p2.map])
     beta = pair_codiagonal(pm, e.module)
     return ExtensionLift(source=dom_ext, beta=beta, mid=mid, target=target)

@@ -511,6 +511,54 @@ def test_composite_butterfly_answers_under_the_default_cap():
     assert find_butterfly_iso(comp, phi(baer_sum(e, e))) is not None
 
 
+def test_the_cap_refuses_a_quotient_before_building_its_table(monkeypatch):
+    """Inputs within a cap whose quotient exceeds it raise OrderCapExceeded,
+    and no table over the cap reaches the group constructor."""
+    from bfly import groups
+    from bfly.errors import OrderCapExceeded
+    from bfly.extensions import baer_sum, pushforward_extension
+
+    u = unit_xext(trivial_module(cyclic_group(2), cyclic_group(32)))
+    m = trivial_module(cyclic_group(4), cyclic_group(16))
+    e = extension_from_2cocycle(cohomology(m, 2).representative((1,)))
+    loop = phi(e)
+    real, orders = groups._group, []
+
+    def recorded(table, name=""):
+        orders.append(len(table))
+        return real(table, name)
+
+    monkeypatch.setattr(groups, "_group", recorded)
+    # results of order 32, 64, 64 and 64; every input has order at most 64
+    for cap, build in ((16, lambda: tensor_xext(u, u)),
+                       (32, lambda: baer_sum(e, e)),
+                       (32, lambda: compose_butterflies(loop, loop)),
+                       (32, lambda: pushforward_extension(e, identity_morphism(m)))):
+        orders.clear()
+        with groups.order_cap(cap):
+            with pytest.raises(OrderCapExceeded):
+                build()
+        assert max(orders, default=0) <= cap
+
+
+def test_quotients_read_in_slices_of_the_normal_subgroup_are_unchanged(monkeypatch):
+    """With one element of N per gather, the tensor, the Baer sum, the
+    composite and the pushforward are the same values."""
+    from bfly import groups
+    from bfly.extensions import baer_sum, pushforward_extension
+
+    u = unit_xext(trivial_module(cyclic_group(2), cyclic_group(8)))
+    m = trivial_module(cyclic_group(4), cyclic_group(4))
+    e = extension_from_2cocycle(cohomology(m, 2).representative((1,)))
+    loop = phi(e)
+    builds = (lambda: tensor_xext(u, u), lambda: baer_sum(e, e),
+              lambda: compose_butterflies(loop, loop),
+              lambda: pushforward_extension(e, identity_morphism(m)))
+    whole = [build() for build in builds]
+    monkeypatch.setattr(groups, "_GATHER", 1)
+    assert [build() for build in builds] == whole
+
+
 def test_fused_tensor_and_composites_match_the_two_step_definitions():
     """Over every pair of each module's h3 catalog, the fused tensor equals the
     product pushed forward along the codiagonal, with the same pullback and the
