@@ -22,8 +22,10 @@ from .errors import LawViolation, NotACocycle, SizeCap, require
 from .groups import FiniteGroup, _group
 from .snf import (
     SmithDecomposition,
+    _words,
     column_lattice_basis,
     integer_kernel,
+    matmul,
     smith_normal_form,
     solve_diagonal,
     solve_integer,
@@ -212,38 +214,54 @@ def _nonzero_mask(nc: int, degree: int) -> np.ndarray:
     return np.indices((nc,) * degree).reshape(degree, nc ** degree).all(axis=0)
 
 
+@lru_cache(maxsize=64)
+def _matrix_faces(base: FiniteGroup, degree: int):
+    """Where each face of the bar coboundary lands in its matrix.
+
+    Returns (hits, rows, cols): hits[i] holds the rows (nonzero
+    (degree+1)-tuples) and columns (nonzero degree-tuples) that face i
+    meets, and the first entry t[0] of each row, which acts in face 0.
+    """
+    nc = base.order
+    faces, first = _faces(base, degree)
+    keep = _nonzero_mask(nc, degree + 1)
+    faces, first = faces[keep], first[keep]
+    src = _nonzero_mask(nc, degree)
+    col_of = np.where(src, np.cumsum(src) - 1, -1)
+    hits = []
+    for i in range(degree + 2):
+        cols = col_of[faces[:, i]]
+        hit = np.flatnonzero(cols >= 0)
+        hits.append((hit, cols[hit], first[hit]))
+    for arr in itertools.chain.from_iterable(hits):
+        arr.setflags(write=False)
+    return tuple(hits), len(first), int(src.sum())
+
+
 def _coboundary_matrix(m: CModule, dec: CyclicDecomposition, degree: int):
-    """Integer block matrix of the coboundary on normalized cochains.
+    """Integer block matrix of the coboundary on normalized cochains, in int64.
 
     Rows are indexed by nonzero (degree+1)-tuples, columns by nonzero
     degree-tuples (degree 0 has the single empty tuple), each times the
     number of cyclic coordinates of B.  Face 0 of a tuple t contributes the
     matrix of xi(t[0], -), face i the block (-1)^i times the identity.
     """
-    nc, kk = m.base.order, len(dec.factors)
+    kk = len(dec.factors)
     k = max(1, kk)
-    faces, first = _faces(m.base, degree)
-    keep = _nonzero_mask(nc, degree + 1)
-    faces, first = faces[keep], first[keep]
-    src = _nonzero_mask(nc, degree)
-    col_of = np.where(src, np.cumsum(src) - 1, -1)
+    hits, rows, cols = _matrix_faces(m.base, degree)
     units = [dec.from_vec[tuple(e)] for e in np.eye(kk, dtype=int).tolist()]
-    acts = np.zeros((nc, k, k), dtype=np.int64)
+    acts = np.zeros((m.base.order, k, k), dtype=np.int64)
     acts[:, :, :kk] = np.swapaxes(dec.to_vec[m.action.act[:, units]], 1, 2)
-    rows = np.arange(len(first))
-    mat = np.zeros((len(first), int(src.sum()), k, k), dtype=np.int64)
-    for i in range(degree + 2):
-        cols = col_of[faces[:, i]]
-        hit = cols >= 0
-        block = acts[first[hit]] if i == 0 else (-1) ** i * np.eye(k, dtype=np.int64)
-        np.add.at(mat, (rows[hit], cols[hit]), block)
-    return mat.swapaxes(1, 2).reshape(len(first) * k, -1).astype(object)
+    mat = np.zeros((rows, cols, k, k), dtype=np.int64)
+    for i, (r, c, acting) in enumerate(hits):
+        block = acts[acting] if i == 0 else (-1) ** i * np.eye(k, dtype=np.int64)
+        np.add.at(mat, (r, c), block)
+    return mat.swapaxes(1, 2).reshape(rows * k, -1)
 
 
-def _moduli(dec: CyclicDecomposition, count: int) -> list[int]:
-    k = max(1, len(dec.factors))
-    base = list(dec.factors) if dec.factors else [1]
-    return [base[i % k] for i in range(count * k)]
+def _moduli(dec: CyclicDecomposition, count: int) -> np.ndarray:
+    """The diagonal matrix of the cyclic orders of ``count`` copies of B."""
+    return np.diag(list(dec.factors or (1,)) * count)
 
 
 @dataclass(frozen=True)
@@ -257,7 +275,8 @@ class CohomologyGroup:
     # the rest follows from (module, degree), so == and hash skip it
     _basis: np.ndarray = field(compare=False)               # adapted cocycle lattice basis
     # U @ _basis @ V = S: U and S come from the elimination that found the
-    # cocycle lattice, and V is the change to the adapted basis
+    # cocycle lattice, and V is the change to the adapted basis; all three
+    # are int64 where they fit, so classification computes in words
     _basis_snf: SmithDecomposition = field(compare=False)
     _dec: CyclicDecomposition = field(compare=False)
     _cols: np.ndarray = field(compare=False)    # flat index of each nonzero tuple
@@ -269,7 +288,7 @@ class CohomologyGroup:
     def _vector(self, rows: np.ndarray) -> np.ndarray:
         """Cyclic coordinates at the nonzero tuples, one column per cochain row."""
         coords = self._dec.to_vec[rows[:, self._cols]]
-        return coords.reshape(len(rows), self._basis.shape[0]).T.astype(object)
+        return coords.reshape(len(rows), self._basis.shape[0]).T
 
     def _cochain(self, v) -> Cochain:
         """The cochain with coordinates v at the nonzero tuples; inverse of _vector."""
@@ -292,7 +311,7 @@ class CohomologyGroup:
         y = solve_integer(self._basis, self._vector(rows), dec=self._basis_snf)
         require(y is not None, "cocycle outside the computed cocycle lattice")
         gens = [i for i, s in enumerate(self._sdiag) if s > 1]
-        coords = y[gens] % np.array(self.factors, dtype=object)[:, None]
+        coords = y[gens] % np.array(self.factors, dtype=np.int64)[:, None]
         return [CocycleClass(group=self, coords=tuple(c)) for c in coords.T.tolist()]
 
     def classify(self, f: Cochain) -> "CocycleClass":
@@ -305,7 +324,7 @@ class CohomologyGroup:
         gen_cols = [i for i, s in enumerate(self._sdiag) if s > 1]
         v = np.zeros(self._basis.shape[0], dtype=object)
         for c, i in zip(coords, gen_cols):
-            v += int(c) * self._basis[:, i]
+            v += int(c) * self._basis[:, i].astype(object)
         return self._cochain(v)
 
     def zero(self) -> "CocycleClass":
@@ -384,16 +403,18 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
         _COHOM_CACHE[key] = result
         return result
 
+    # the cocycles are the unknown-space part of the kernel of [d | moduli],
+    # so the elimination carries only those rows of V
     d_up = _coboundary_matrix(module, dec, degree)
-    row_mods = np.diag(np.array(_moduli(dec, d_up.shape[0] // k), dtype=object))
-    stacked = np.concatenate([d_up, row_mods], axis=1)
-    ker = integer_kernel(stacked)
-    proj = ker[:n_unknowns, :]
+    stacked = np.concatenate([d_up, _moduli(dec, d_up.shape[0] // k)], axis=1)
+    proj = integer_kernel(stacked, n_unknowns)
     # the unknown-space moduli always lie in the cocycle lattice
-    col_mods = np.diag(np.array(_moduli(dec, len(cols)), dtype=object))
+    col_mods = _moduli(dec, len(cols))
     coc_gens = np.concatenate([proj, col_mods], axis=1)
     basis, lattice = column_lattice_basis(coc_gens)
     require(basis.shape == (n_unknowns, n_unknowns))
+    # in words once, for this solve and every later classification
+    lattice = SmithDecomposition(_words(lattice.u), _words(lattice.s), lattice.v, None, None)
 
     d_down = _coboundary_matrix(module, dec, degree - 1)
     cob_gens = np.concatenate([d_down, col_mods], axis=1)
@@ -409,9 +430,9 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
         for i in range(n_unknowns)
     )
     require(all(s > 0 for s in sdiag), "coboundary lattice not full rank")
-    adapted = basis @ dec_x.uinv
+    adapted = matmul(basis, dec_x.uinv)
     # U @ basis = S (V is the identity) gives U @ adapted @ dec_x.u = S
-    adapted_snf = SmithDecomposition(u=lattice.u, s=lattice.s, v=dec_x.u, uinv=None, vinv=None)
+    adapted_snf = SmithDecomposition(lattice.u, lattice.s, _words(dec_x.u), None, None)
     result = CohomologyGroup(
         module=module,
         degree=degree,

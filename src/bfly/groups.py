@@ -87,8 +87,11 @@ class FiniteGroup:
         return acc
 
     def element_order(self, a: int) -> int:
+        """Least k >= 1 with k a = 0; no order is above |G|, so a table
+        whose index 0 is not the identity fails instead of looping."""
         k, acc = 1, a
         while acc != 0:
+            require(k < self.order, f"element {a} has no order: 0 is not the identity")
             acc = int(self.table[acc, a])
             k += 1
         return k

@@ -1,17 +1,19 @@
 """Exact integer linear algebra: Smith normal form and lattice utilities.
 
-Results are dtype=object arrays of Python integers, so callers never see
-overflow.  The elimination itself runs in int64 machine words while a
+Decompositions are dtype=object arrays of Python integers, so callers never
+see overflow.  The elimination itself runs in int64 machine words while a
 running bound on each array shows no update can overflow, and widens to
 Python integers for the rest of the elimination when the bound fails, so
-its output is exact at any size.  Each pivot's sweeps touch only the rows
-and columns whose cross entry is nonzero, and a caller names the
-transforms it reads, so the work follows the nonzeros of the sparse
-coboundary matrices this library factors (a few hundred rows at most).
-The pivot step costs a few numpy calls: U rides beside S as one array
-[S | U], the pivot is looked for in the pivot row before the whole block,
-and at a pivot of least size the column sweep just clears the pivot row
-of S.
+its output is exact at any size.  Integer arrays go in as they are, and
+``matmul`` multiplies by the same rule: in int64 when a bound proves the
+product fits, in Python integers otherwise.  Each pivot's sweeps touch only
+the rows and columns whose cross entry is nonzero, and a caller names the
+transforms it reads, down to the rows of V, so the work follows the
+nonzeros of the sparse coboundary matrices this library factors (2401 x
+2744 for degree 3 over a base of order 8).  The pivot step costs a few
+numpy calls: U rides beside S as one array [S | U], the pivot is looked
+for in the pivot row before the whole block, and at a pivot of least size
+the column sweep just clears the pivot row of S.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ _WIDE_INPUT = 1 << 31   # inputs with entries this large start as Python ints
 _TRANSFORMS = "u v uinv vinv"
 
 
-def _obj(a) -> np.ndarray:
-    arr = np.array(a, dtype=object)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
+def _integers(a) -> np.ndarray:
+    """a as a matrix: integer and object arrays as they are, anything else
+    as Python ints."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iuO"):
+        a = np.array(a, dtype=object)
+    return a.reshape(-1, 1) if a.ndim == 1 else a
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,39 @@ class SmithDecomposition:
 
 
 def _absmax(x: np.ndarray) -> int:
-    return int(np.abs(x).max()) if x.size else 0
+    """max |entry| as a Python int, for int64, uint64 or object entries."""
+    if not x.size:
+        return 0
+    if x.dtype == np.int64:
+        # |-2**63| wraps to -2**63 in int64, whose bits read 2**63 unsigned
+        return int(np.abs(x).view(np.uint64).max())
+    return max(int(x.max()), -int(x.min()))
+
+
+def _words(x: np.ndarray) -> np.ndarray:
+    """x in int64 if every entry fits, else in Python ints."""
+    if np.can_cast(x.dtype, np.int64):
+        return x.astype(np.int64, copy=False)
+    x = x.astype(object, copy=False)
+    try:
+        return x.astype(np.int64)
+    except OverflowError:   # a Python int past int64
+        return x
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A @ B exactly, for integer or object matrices.
+
+    Each entry is a sum of k products of size at most max|A| max|B|, so
+    the product runs in int64 when max|A| max|B| k < 2**62 proves it
+    exact, the bound the elimination keeps, and in Python ints otherwise.
+    The result is int64 or object accordingly.
+    """
+    a, b = _words(a), _words(b)
+    bound = max(_absmax(a), 1) * max(_absmax(b), 1) * max(a.shape[1], 1)
+    if a.dtype == b.dtype == np.int64 and bound < _WORD_BOUND:
+        return a @ b
+    return a.astype(object) @ b.astype(object)
 
 
 def _grown(bound: int, qmax: int, k: int) -> int:
@@ -70,24 +105,37 @@ def _grown(bound: int, qmax: int, k: int) -> int:
 def _smallest(a: np.ndarray, g) -> int:
     """Row-major index of the first entry of least nonzero size, or -1.
 
-    g divides every entry, so an entry of size g, if any, is least.
+    g divides every entry, so an entry of size g, if any, is least.  It is
+    looked for in bands of rows that double from the top, so a block whose
+    first such entry lies near the top is not read whole.
     """
-    mag = np.abs(a).ravel()
-    if not mag.size:
-        return -1
-    first = int((mag == g).argmax())
-    if mag[first] == g:
-        return first
+    width = a.shape[1] if a.ndim == 2 else 1
+    top, rows = 0, 8
+    while True:
+        mag = np.abs(a[top:top + rows]).ravel()
+        first = int((mag == g).argmax()) if mag.size else 0
+        if mag.size and mag[first] == g:
+            return top * width + first
+        if top + rows >= len(a):
+            break
+        top, rows = top + rows, 2 * rows
+    if top:
+        mag = np.abs(a).ravel()
     nonzero = mag.nonzero()[0]
     return int(nonzero[mag[nonzero].argmin()]) if nonzero.size else -1
 
 
-def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
+def smith_normal_form(
+    a, track: str = _TRANSFORMS, v_rows: int | None = None, /
+) -> SmithDecomposition:
     """Textbook elimination (Cohen, GTM 138, §2.4.4) with exact output.
 
     ``track`` names the transforms to compute, from "u v uinv vinv"; the
     others are None, and U, S, V, U^-1 and V^-1 are the same whichever
-    are tracked.  U is held right of S as one array [S | U], so each row
+    are tracked.  With ``v_rows``, V is only its first v_rows rows: a
+    column operation acts on each row of V alone, so they are the same
+    rows as in the whole V.  Integer arrays are read as they are, anything
+    else as Python ints.  U is held right of S as one array [S | U], so each row
     sweep, row swap and sign flip is one operation on both.  Each pivot's
     row sweep and column sweep is one rank-1 update on the rows (columns)
     whose cross entry is nonzero, since the pivot row (column) does not
@@ -104,9 +152,9 @@ def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
     exact maximum replaces the bound, and if that fails too the arrays
     are widened to Python ints, once, for the rest.
     """
-    s = _obj(a)
+    s = _integers(a)
     smax = _absmax(s)
-    s = s.astype(np.int64) if smax < _WIDE_INPUT else s
+    s = s.astype(np.int64 if smax < _WIDE_INPUT else object)
     m, n = s.shape
     tracked = track.split()
     if "u" in tracked:
@@ -114,11 +162,11 @@ def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
     # x["su"] is [S | U].  U^-1 follows the row operations on S too, and V
     # and V^-1 follow the column operations.  V and U^-1 are held
     # transposed, so that each follows with X[rows] += q (x) X[t] and
-    # Y[t] -= q @ Y[rows].
+    # Y[t] -= q @ Y[rows]; V^T keeps only the columns of the rows of V
+    # asked for.
+    sizes = {"uinv": (m, m), "v": (n, n if v_rows is None else v_rows), "vinv": (n, n)}
     x = {"su": s} | {
-        name: np.eye(m if name == "uinv" else n, dtype=s.dtype)
-        for name in ("uinv", "v", "vinv")
-        if name in tracked
+        name: np.eye(*sizes[name], dtype=s.dtype) for name in sizes if name in tracked
     }
     follow_cols = "v" in x or "vinv" in x
     # an upper bound on |entry| of each array
@@ -127,7 +175,10 @@ def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
     def room(qmax: int, *updates) -> bool:
         """Widen unless each (array name, k) update keeps its bound.
 
-        Returns True if it widened the arrays.
+        Returns True if it widened the arrays.  Every update from pivot t
+        on reads and writes rows t and below of each array only, so rows
+        above t are final and the bounds leave them out; in [S | U] the
+        columns left of t in those rows are zero too.
         """
         if x["su"].dtype == object:
             return False
@@ -136,7 +187,8 @@ def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
                 continue
             grown = _grown(bound[name], qmax, k)
             if grown >= _WORD_BOUND:
-                grown = _grown(_absmax(x[name]), qmax, k)
+                live = x[name][t:, t:] if name == "su" else x[name][t:]
+                grown = _grown(_absmax(live), qmax, k)
             if grown >= _WORD_BOUND:
                 for key in x:
                     x[key] = x[key].astype(object)
@@ -267,16 +319,17 @@ def smith_normal_form(a, track: str = _TRANSFORMS, /) -> SmithDecomposition:
     return SmithDecomposition(**out)
 
 
-def integer_kernel(a) -> np.ndarray:
-    """Basis (columns) of {x : A x = 0} over the integers."""
-    arr = _obj(a)
-    dec = smith_normal_form(arr, "v")
+def integer_kernel(a, rows: int | None = None) -> np.ndarray:
+    """Basis (columns) of {x : A x = 0} over the integers.
+
+    With ``rows``, only the first rows of the basis: the elimination then
+    carries only those rows of V.
+    """
+    arr = _integers(a)
+    dec = smith_normal_form(arr, "v", rows)
     n = arr.shape[1]
     k = min(arr.shape)
-    cols = [j for j in range(n) if j >= k or dec.s[j, j] == 0]
-    if not cols:
-        return np.zeros((n, 0), dtype=object)
-    return dec.v[:, cols]
+    return dec.v[:, [j for j in range(n) if j >= k or dec.s[j, j] == 0]]
 
 
 def solve_integer(a, b, dec: SmithDecomposition | None = None):
@@ -285,14 +338,14 @@ def solve_integer(a, b, dec: SmithDecomposition | None = None):
     b may also be a matrix; then x solves every column, or is None unless
     every column is solvable.
     """
-    rhs = np.array(b, dtype=object)
+    rhs = _integers(b)
     if dec is None:
-        dec = smith_normal_form(_obj(a), "u v")
-    y = solve_diagonal(dec, rhs if rhs.ndim > 1 else rhs[:, None])
+        dec = smith_normal_form(a, "u v")
+    y = solve_diagonal(dec, rhs)
     if y is None:
         return None
-    x = dec.v @ y
-    return x if rhs.ndim > 1 else x.reshape(-1)
+    x = matmul(dec.v, y)
+    return x if np.ndim(b) > 1 else x.reshape(-1)
 
 
 def solve_diagonal(dec: SmithDecomposition, b) -> np.ndarray | None:
@@ -300,19 +353,19 @@ def solve_diagonal(dec: SmithDecomposition, b) -> np.ndarray | None:
 
     Then x = V y solves A x = b.  Where V is the identity, as in the
     factorisation ``column_lattice_basis`` returns, y itself is x, and the
-    product with V is skipped.
+    product with V is skipped.  y is int64 where U b is.
     """
-    c = dec.u @ np.asarray(b, dtype=object)
+    c = matmul(dec.u, _integers(b))
     m, n = dec.s.shape
     k = min(m, n)
     d = np.diagonal(dec.s)
     zero = d == 0
     if c[k:].any() or c[:k][zero].any():
         return None
-    d = np.where(zero, 1, d)[:, None]
+    d = _words(np.where(zero, 1, d))[:, None]
     if (c[:k] % d).any():
         return None
-    y = np.zeros((n, c.shape[1]), dtype=object)
+    y = np.zeros((n, c.shape[1]), dtype=c.dtype)
     y[:k] = c[:k] // d
     return y
 

@@ -17,6 +17,7 @@ import itertools
 from math import gcd
 
 import numpy as np
+import pytest
 
 from bfly.actions import trivial_module
 from bfly.cohomology import cohomology
@@ -100,3 +101,13 @@ def test_cohomology_matches_kunneth_and_universal_coefficients():
         assert _elementary_divisors(got) == _elementary_divisors(want), (c, b, degree)
         n += 1
     assert n == 242
+
+
+@pytest.mark.parametrize("c, rank", [((8,), 1), ((2, 4), 4), ((2, 2, 2), 10)])
+def test_degree_three_over_the_abelian_bases_of_order_8(c, rank):
+    """H^3 with trivial Z2 coefficients over Z8, Z2 x Z4 and Z2^3 is
+    Z2^rank, as Kunneth and universal coefficients say."""
+    want = _closed_form(c, (2,), 3)
+    assert _elementary_divisors(want) == [2] * rank
+    got = cohomology(trivial_module(_group(c), _group((2,))), 3).factors
+    assert _elementary_divisors(got) == [2] * rank

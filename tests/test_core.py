@@ -17,6 +17,7 @@ from bfly.errors import (
     OrderCapExceeded,
 )
 from bfly.groups import (
+    _group,
     all_homs,
     build_group,
     build_hom,
@@ -68,6 +69,15 @@ def test_identity_relabeled_to_zero():
     g = build_group([[1, 0], [0, 1]])  # Z2 written with identity at index 1
     assert g.add(0, 1) == 1
     assert g.add(1, 1) == 0
+
+
+def test_element_order_fails_where_index_zero_is_not_the_identity():
+    """A table built by invariant skips validation; if index 0 is not its
+    identity, the order walk from 1 never meets 0 and must stop at |G|."""
+    g = _group([[1, 0], [0, 1]])  # Z2 with identity at index 1
+    with pytest.raises(LawViolation, match="no order"):
+        g.element_order(1)
+    assert build_group([[1, 0], [0, 1]]).element_order(1) == 2
 
 
 def test_order_cap_enforced():

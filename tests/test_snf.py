@@ -1,5 +1,6 @@
 """Smith normal form and exact integer linear algebra."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,9 +13,10 @@ from bfly.snf import (
     SmithDecomposition,
     _WORD_BOUND,
     _grown,
-    _obj,
+    _integers,
     column_lattice_basis,
     integer_kernel,
+    matmul,
     smith_normal_form,
     solve_integer,
 )
@@ -103,7 +105,7 @@ def test_column_lattice_membership():
 
 def reference_snf(a) -> SmithDecomposition:
     """The elimination as one Python loop over cells, before vectorising."""
-    s = _obj(a).copy()
+    s = _integers(a).astype(object)
     m, n = s.shape
     u = np.eye(m, dtype=object)
     uinv = np.eye(m, dtype=object)
@@ -377,6 +379,107 @@ def test_pivot_search_falls_back_to_the_block_scan(a):
     _assert_tracked(a, ref)
 
 
+@st.composite
+def tall_with_a_low_unit(draw):
+    """Up to 40 rows of even entries but one unit, so the search for an
+    entry of size 1 walks several bands of rows before it finds it."""
+    rows, cols = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    a = 2 * np.array(
+        draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols)),
+        dtype=object,
+    ).reshape(rows, cols)
+    a[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(
+        st.sampled_from([1, -1])
+    )
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_with_a_low_unit())
+def test_banded_pivot_search_matches_cell_by_cell_elimination(a):
+    assert snf._smallest(a, 1) == int(np.argmax(np.abs(a.astype(np.int64)).ravel() == 1))
+    _assert_same(smith_normal_form(a), reference_snf(a))
+
+
+def _integer_dtype(a: np.ndarray) -> np.ndarray:
+    """a in int64 if it fits, else in uint64 if that fits, else a itself."""
+    for dtype in (np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        if all(info.min <= x <= info.max for x in a.flat):
+            return a.astype(dtype)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(bit_identity_inputs, stacked_moduli()))
+def test_integer_input_gives_the_object_input_decomposition(a):
+    """An integer array gives the decomposition of the same entries as
+    Python ints, bit for bit, and the outputs are Python ints."""
+    words = _integer_dtype(a)
+    ref = smith_normal_form(a)
+    _assert_same(smith_normal_form(words), ref)
+    _assert_same(smith_normal_form(words, "v"), ref, "v")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(bit_identity_inputs, stacked_moduli()), st.data())
+def test_kernel_restricted_to_its_first_rows_is_the_full_kernel_cut(a, data):
+    """Carrying only the first rows of V gives those rows of the whole V,
+    and the kernel's first rows, bit for bit."""
+    rows = data.draw(st.integers(0, a.shape[1]))
+    whole, cut = smith_normal_form(a, "v"), smith_normal_form(a, "v", rows)
+    assert cut.v.dtype == object and cut.v.shape == (rows, a.shape[1])
+    assert np.array_equal(cut.v, whole.v[:rows])
+    assert all(type(x) is int for x in cut.v.flat)
+    assert np.array_equal(cut.s, whole.s)
+    full = integer_kernel(a)
+    got = integer_kernel(a, rows)
+    assert got.shape == (rows, full.shape[1]) and np.array_equal(got, full[:rows])
+
+
+_near_words = st.sampled_from(
+    [0, 1, -1, 3, 2**31 - 1, -(2**31), 2**31 + 5, 2**61, 2**62 - 1, -(2**62), 2**63 - 1]
+)
+
+
+@st.composite
+def products(draw):
+    """Integer matrices A (m x k) and B (k x n), some entries near 2**31 and 2**62."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    entries = st.one_of(st.integers(-9, 9), _near_words)
+
+    def matrix(rows, cols):
+        cells = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells, dtype=object).reshape(rows, cols)
+
+    return matrix(m, k), matrix(k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_matmul_equals_the_python_int_product(ab):
+    """In int64 only where the bound proves the product fits; entries near
+    2**31 and 2**62 force the Python-int product, as object input past
+    int64 does."""
+    a, b = ab
+    want = a.astype(object) @ b.astype(object)
+    for x, y in ((a, b), (_integer_dtype(a), _integer_dtype(b))):
+        got = matmul(x, y)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        big = max(snf._absmax(a), 1) * max(snf._absmax(b), 1) * max(a.shape[1], 1)
+        assert got.dtype == (np.int64 if big < _WORD_BOUND else object)
+
+
+def test_matmul_widens_where_one_term_or_their_sum_passes_the_bound():
+    a = np.array([[2**31, 2**31]], dtype=np.int64)
+    b = np.array([[2**30], [2**30]], dtype=np.int64)
+    assert matmul(a[:, :1], b[:1]).dtype == np.int64      # 2**61
+    got = matmul(a, b)                                      # two terms of 2**61
+    assert got.dtype == object and got[0, 0] == 2**62
+    huge = np.array([[2**63]], dtype=np.uint64)
+    assert matmul(huge, np.array([[2]]))[0, 0] == 2**64
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_column_lattice_basis_comes_factored(rows):
@@ -438,8 +541,9 @@ def test_cohomology_pipeline_matches_reference_elimination(monkeypatch):
 
     fast = groups()
 
-    def reference(a, track="", /):
-        return reference_snf(a)
+    def reference(a, track="", v_rows=None, /):
+        dec = reference_snf(a)
+        return dataclasses.replace(dec, v=dec.v[:v_rows])
 
     monkeypatch.setattr(snf, "smith_normal_form", reference)
     monkeypatch.setattr(coh, "smith_normal_form", reference)
@@ -456,17 +560,18 @@ def test_cohomology_pipeline_matches_reference_elimination(monkeypatch):
 
 def test_cohomology_eliminates_three_matrices_per_group(monkeypatch):
     """The kernel of [d | moduli], the cocycle lattice and the coboundaries
-    in its basis; the lattice's elimination also factors the basis, and a
-    cached group eliminates nothing."""
+    in its basis; the lattice's elimination also factors the basis, the
+    kernel's carries only the rows of V of the unknowns, and a cached group
+    eliminates nothing."""
     import bfly.cohomology as coh
     from bfly.catalog import standard_modules
 
     tracks = []
     real = snf.smith_normal_form
 
-    def spy(a, track="u v uinv vinv", /):
-        tracks.append(track)
-        return real(a, track)
+    def spy(a, track="u v uinv vinv", v_rows=None, /):
+        tracks.append((track, v_rows))
+        return real(a, track, v_rows)
 
     monkeypatch.setattr(snf, "smith_normal_form", spy)
     monkeypatch.setattr(coh, "smith_normal_form", spy)
@@ -474,6 +579,6 @@ def test_cohomology_eliminates_three_matrices_per_group(monkeypatch):
     for _, m in standard_modules():
         for d in (1, 2, 3):
             start = len(tracks)
+            unknowns = coh.cohomology(m, d)._basis.shape[0]
             coh.cohomology(m, d)
-            coh.cohomology(m, d)
-            assert tracks[start:] == ["v", "u uinv", "u uinv"]
+            assert tracks[start:] == [("v", unknowns), ("u uinv", None), ("u uinv", None)]
