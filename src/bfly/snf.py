@@ -131,26 +131,26 @@ def smith_normal_form(
     """Textbook elimination (Cohen, GTM 138, §2.4.4) with exact output.
 
     ``track`` names the transforms to compute, from "u v uinv vinv"; the
-    others are None, and U, S, V, U^-1 and V^-1 are the same whichever
-    are tracked.  With ``v_rows``, V is only its first v_rows rows: a
-    column operation acts on each row of V alone, so they are the same
-    rows as in the whole V.  Integer arrays are read as they are, anything
-    else as Python ints.  U is held right of S as one array [S | U], so each row
+    others are None, and U, S, V, U^-1 and V^-1 are the same whichever are
+    tracked.  With ``v_rows``, V is only its first v_rows rows: a column
+    operation acts on each row of V alone, so they are the same rows as in
+    the whole V.  Integer arrays are read as they are, anything else as
+    Python ints.  U is held right of S as one array [S | U], so each row
     sweep, row swap and sign flip is one operation on both.  Each pivot's
     row sweep and column sweep is one rank-1 update on the rows (columns)
     whose cross entry is nonzero, since the pivot row (column) does not
     change during its sweep, and S changes only inside the active block,
-    whose complement is already zero.  Every entry of the active block is
-    a multiple of the last pivot g, so the pivot, the row-major first
-    entry of least size, is the first entry of size g in row t whenever
-    row t has one; only otherwise is the whole block scanned.  At a pivot
-    of size g the row sweep clears column t, so the column sweep on S
-    just clears row t, and only V and V^-1 follow it; neither the
-    remainders nor divisibility is scanned.  The arrays are int64 while a
-    running bound on each array ([S | U] shares one) shows that every
-    update stays below 2**62; when a bound would reach it, the array's
-    exact maximum replaces the bound, and if that fails too the arrays
-    are widened to Python ints, once, for the rest.
+    whose complement is already zero.  Every entry of the active block is a
+    multiple of the last pivot g, so the pivot, the row-major first entry of
+    least size, is the first entry of size g in row t whenever row t has
+    one; only otherwise is the block searched, by bands of rows.  At a pivot
+    of size g the row sweep clears column t, so the column sweep on S just
+    clears row t, and only V and V^-1 follow it; neither the remainders nor
+    divisibility is scanned.  The arrays are int64 while a running bound on
+    each array ([S | U] shares one) shows that every update stays below
+    2**62; when a bound would reach it, the exact maximum of the array's
+    live rows replaces the bound, and if that fails too the arrays are
+    widened to Python ints, once, for the rest.
     """
     s = _integers(a)
     smax = _absmax(s)
