@@ -200,19 +200,21 @@ def pushforward_xext(
     The coset {(b' + beta b, x - j b)} is labeled by its least code
     b' * |E2| + x (``_coset_quotient``); B' x E2 itself is never built.
     The pairs (beta b, -j b) are central, as j(B) is (Brown, IV.3).
+    g * (b', x) = (p(g) * b', g * x) is an automorphism of B' x E2, so it
+    is constant on cosets when it keeps the identity coset, and it is read
+    on the coset labels only, as in ``tensor_xext_with_data``.
     """
     if beta.dom != e.module:
         raise ModuleMismatch("beta must start at the extension's module")
     bp, e2, n2 = beta.cod.coeff, e.e2, e.e2.order
-    labels, proj, q_grp = _coset_quotient(bp, e2, np.arange(bp.order * n2),
-                                          beta.hom.map * n2 + e2.inv[e.j.map])
-    lx = labels % n2
-    # g * (b', x) = (p(g) * b', g * x), read on every pair and then on its coset
-    moved = (beta.cod.action.act[e.p.map][:, :, None] * n2
-             + e.xm.action.act[:, None, :]).reshape(e.e1.order, -1)
-    act = factor_through(proj, proj[moved], q_grp.order)
-    if act is None:
+    normal = beta.hom.map * n2 + e2.inv[e.j.map]
+    labels, proj, q_grp = _coset_quotient(bp, e2, np.arange(bp.order * n2), normal)
+    lb, lx = np.divmod(labels, n2)
+    act_b, act_x = beta.cod.action.act[e.p.map], e.xm.action.act
+    nb, nx = np.divmod(normal, n2)
+    if proj[act_b[:, nb] * n2 + act_x[:, nx]].any():
         raise ActionNotWellDefined("pushforward action is not constant on cosets")
+    act = proj[act_b[:, lb] * n2 + act_x[:, lx]]
     bnd_new = _hom(q_grp, e.e1, e.xm.boundary.map[lx])    # the boundary kills j(B)
     result = _xext(_hom(bp, q_grp, proj[np.arange(bp.order) * n2]), _xmod(bnd_new, act),
                    e.p, beta.cod)

@@ -163,7 +163,17 @@ def pushforward_extension(
 def extension_morphisms_over(
     e: AbelianExtension, g: AbelianExtension, beta: CModuleMorphism
 ) -> list[GroupHom]:
-    """All mid: E -> G with mid.kappa = kappa_g.beta and gamma_g.mid = gamma.
+    """All mid: E -> G with mid.kappa = kappa_g.beta and gamma_g.mid = gamma,
+    sorted by their value tables: the one-beta case of ``_morphisms_over``."""
+    _, mids = _morphisms_over(e, g, [beta])
+    return [_hom(e.middle, g.middle, m) for m in mids]
+
+
+def _morphisms_over(
+    e: AbelianExtension, g: AbelianExtension, betas: list[CModuleMorphism]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(which, mids): every morphism E -> G over (betas[k], id_C) for every k,
+    mids[i] over betas[which[i]], sorted by (which, value table).
 
     Take the least-index pointed section s of e and its 2-cocycle f.  A
     candidate is t = mid.s, a map C -> G over id_C, and
@@ -171,48 +181,55 @@ def extension_morphisms_over(
     t(c1) + t(c2) = kappa_g(beta f(c1, c2)) + t(c1 + c2) for all c1, c2;
     the solutions form a torsor under Z^1(C, B') (Holt, Eick & O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 7; Brown,
-    *Cohomology of Groups*, IV.2).  All candidates are rows of one array,
-    grown one element of C at a time; each step drops the rows that fail an
-    equation whose three arguments have just become assigned.  The maps are
-    sorted by their value tables, and the survivors are checked against the
-    definition, so a wrong reduction cannot admit a non-morphism; that none
-    is missed is pinned by the tests against the candidate loop and the
-    Z^1 torsor count.
+    *Cohomology of Groups*, IV.2).  The section, f, the step plan and the
+    fibres of g are shared by the family: the candidates of every beta are
+    rows of one array, each carrying the index of its beta, grown one
+    element of C at a time; each step drops the rows that fail an equation
+    whose three arguments have just become assigned, read with the row's
+    own beta.  The survivors are checked against the definition, each
+    against its own beta, so a wrong reduction cannot admit a
+    non-morphism; that none is missed is pinned by the tests against the
+    candidate loop and the Z^1 torsor count.
     """
-    if beta.dom != e.module or beta.cod != g.module:
+    if any(beta.dom != e.module or beta.cod != g.module for beta in betas):
         raise ModuleMismatch("beta must run between the two kernel modules")
     kappa, gamma = e.kernel_arrow, e.quotient_arrow
     em, gm, c_grp = e.middle, g.middle, gamma.cod
-    push = g.kernel_arrow.map[beta.hom.map]             # kappa_g . beta on B
+    # kappa_g . beta on B, one row per beta
+    push = g.kernel_arrow.map[np.array([beta.hom.map for beta in betas],
+                                       dtype=np.int64).reshape(len(betas), kappa.dom.order)]
     in_b = np.full(em.order, -1, dtype=np.int64)
     in_b[kappa.map] = np.arange(kappa.dom.order)
     s = np.unique(gamma.map, return_index=True)[1]      # s(0) = 0
-    defect = em.table[em.table[np.ix_(s, s)], em.inv[s[c_grp.table]]]
-    rhs_const = push[in_b[defect]]                      # kappa_g(beta f(c1, c2))
+    f = in_b[em.table[em.table[s[:, None], s], em.inv[s[c_grp.table]]]]    # s's 2-cocycle
     # an equation is checked at the step that assigns the last of its arguments
     c_idx = np.arange(c_grp.order)
     step = np.maximum(np.maximum.outer(c_idx, c_idx), c_grp.table)
     fibres = g.quotient_arrow.map
-    t = np.zeros((1, c_grp.order), dtype=np.int64)      # t(0) = 0
+    which = np.arange(len(betas))
+    t = np.zeros((len(betas), c_grp.order), dtype=np.int64)     # t(0) = 0
     for c in range(1, c_grp.order):
         fibre = np.flatnonzero(fibres == c)
         t = np.repeat(t, len(fibre), axis=0)
-        t[:, c] = np.tile(fibre, len(t) // len(fibre))
+        which = np.repeat(which, len(fibre))
+        t.reshape(-1, len(fibre), c_grp.order)[:, :, c] = fibre
         c1, c2 = np.nonzero(step == c)
         lhs = gm.table[t[:, c1], t[:, c2]]
-        rhs = gm.table[rhs_const[c1, c2], t[:, c_grp.table[c1, c2]]]
-        t = t[(lhs == rhs).all(axis=1)]
+        rhs = gm.table[push[which[:, None], f[c1, c2]], t[:, c_grp.table[c1, c2]]]
+        keep = (lhs == rhs).all(axis=1)
+        t, which = t[keep], which[keep]
     x = np.arange(em.order)
     b_of = in_b[em.table[x, em.inv[s[gamma.map]]]]     # x = kappa(b) + s(gamma x)
-    mids = gm.table[push[b_of], t[:, gamma.map]]
-    mids = mids[np.lexsort(mids.T[::-1])]
+    mids = gm.table[push[which[:, None], b_of], t[:, gamma.map]]
+    order = np.lexsort((*mids.T[::-1], which))
+    which, mids = which[order], mids[order]
     require(
         _kernels.homs_violation(em.table, gm.table, mids) is None
-        and (mids[:, kappa.map] == push).all()
+        and (mids[:, kappa.map] == push[which]).all()
         and (fibres[mids] == gamma.map).all(),
         "the reduced cocycle equation admitted a non-morphism",
     )
-    return [_hom(em, gm, m) for m in mids]
+    return which, mids
 
 
 def fibre_morphisms(

@@ -11,7 +11,8 @@ import numpy as np
 from .actions import CModuleMorphism, compose_morphisms, equivariance_failures
 from .butterflies import CrossedExtension, XExtMorphism
 from .errors import ModuleMismatch
-from .extensions import AbelianExtension, ExtensionLift, extension_morphisms_over
+# extension_morphisms_over is re-exported here
+from .extensions import AbelianExtension, ExtensionLift, _morphisms_over, extension_morphisms_over
 from .groups import all_homs, close_under_group, compose
 
 
@@ -19,61 +20,77 @@ def check_cocartesian_extension(
     lift: ExtensionLift,
     dom: AbelianExtension,
     g: AbelianExtension,
-    beta2: CModuleMorphism,
-) -> bool:
-    """Every morphism dom -> g over beta2.beta factors once through the lift."""
-    total = compose_morphisms(beta2, lift.beta)
-    tests = extension_morphisms_over(dom, g, total)
-    candidates = extension_morphisms_over(lift.target, g, beta2)
-    if tests and lift.mid.dom != dom.middle:
-        return False
-    return _factor_once([h.map for h in tests], [u.map[lift.mid.map] for u in candidates])
+    beta2s: list[CModuleMorphism],
+) -> list[bool]:
+    """For each beta2 of the family: every morphism dom -> g over
+    beta2.beta factors once through the lift.
+
+    The tests over every beta2.beta and the candidates over every beta2 are
+    one search each (``extensions._morphisms_over``), and the factorisations
+    are compared on value tables.
+    """
+    totals = [compose_morphisms(beta2, lift.beta) for beta2 in beta2s]
+    tw, tests = _morphisms_over(dom, g, totals)
+    cw, candidates = _morphisms_over(lift.target, g, beta2s)
+    composites = candidates[:, lift.mid.map]
+    # a square that starts elsewhere fails wherever there is a test
+    same = lift.mid.dom == dom.middle
+    return [not (tw == k).any() or same and _factor_once(tests[tw == k], composites[cw == k])
+            for k in range(len(beta2s))]
 
 
-def _factor_once(tests: list, composites: list) -> bool:
+def _factor_once(tests, composites) -> bool:
     """Every test row equals exactly one composite row."""
-    if not tests:
+    if not len(tests):
         return True
-    if not composites:
+    if not len(composites):
         return False
     matches = (np.asarray(tests)[:, None] == np.asarray(composites)[None]).all(axis=2)
     return bool((matches.sum(axis=1) == 1).all())
 
 
 def xext_morphisms_over(
-    e: CrossedExtension, g: CrossedExtension, beta: CModuleMorphism
-) -> list[XExtMorphism]:
-    """All crossed-extension morphisms over beta, sorted by (f1, f2).
+    e: CrossedExtension, g: CrossedExtension, betas: list[CModuleMorphism]
+) -> list[list[XExtMorphism]]:
+    """For each beta of the family, all crossed-extension morphisms over it,
+    sorted by (f1, f2).
 
     The f1 rows of all_homs are kept where p'.f1 = p and the f2 rows where
-    f2.j = j'.beta; every remaining pair is checked for bnd'.f2 = f1.bnd
-    and for equivariance as table comparisons.
+    f2.j = j'.beta for some beta; every remaining pair is checked once for
+    bnd'.f2 = f1.bnd and for equivariance as table comparisons, and each
+    beta keeps the pairs whose f2 it admits.
     """
-    if beta.dom != e.module or beta.cod != g.module:
+    if any(beta.dom != e.module or beta.cod != g.module for beta in betas):
         raise ModuleMismatch("beta must run between the two kernel modules")
     h1, h2 = all_homs(e.e1, g.e1), all_homs(e.e2, g.e2)
     m1, m2 = (np.asarray([f.map for f in homs]) for homs in (h1, h2))
     k1 = np.flatnonzero((g.p.map[m1] == e.p.map).all(axis=1))
-    k2 = np.flatnonzero((m2[:, e.j.map] == g.j.map[beta.hom.map]).all(axis=1))
+    over = np.array([(m2[:, e.j.map] == g.j.map[beta.hom.map]).all(axis=1)
+                     for beta in betas], dtype=bool).reshape(len(betas), len(h2))
+    k2 = np.flatnonzero(over.any(axis=0))
     square = m1[k1][:, None, e.xm.boundary.map] == g.xm.boundary.map[m2[k2]]
     p1, p2 = np.nonzero(square.all(axis=2))
     i1, i2 = k1[p1], k2[p2]
-    bad = equivariance_failures(e.xm.action, g.xm.action, m2[i2], m1[i1])
-    return [XExtMorphism(dom=e, cod=g, beta=beta, f2=h2[b], f1=h1[a])
-            for a, b, fails in zip(i1, i2, bad.any(axis=(1, 2))) if not fails]
+    good = ~equivariance_failures(e.xm.action, g.xm.action, m2[i2], m1[i1]).any(axis=(1, 2))
+    i1, i2 = i1[good], i2[good]
+    return [[XExtMorphism(dom=e, cod=g, beta=beta, f2=h2[b], f1=h1[a])
+             for a, b in zip(i1[keep], i2[keep])]
+            for beta, keep in zip(betas, over[:, i2])]
 
 
 def check_cocartesian_xext(
-    lift: XExtMorphism, g: CrossedExtension, beta2: CModuleMorphism
-) -> bool:
-    """Cocartesian universal property of a crossed-extension lift."""
-    total = compose_morphisms(beta2, lift.beta)
-    tests = xext_morphisms_over(lift.dom, g, total)
-    candidates = xext_morphisms_over(lift.cod, g, beta2)
-    return _factor_once(
-        [np.concatenate([h.f2.map, h.f1.map]) for h in tests],
-        [np.concatenate([u.f2.map[lift.f2.map], u.f1.map[lift.f1.map]]) for u in candidates],
-    )
+    lift: XExtMorphism, g: CrossedExtension, beta2s: list[CModuleMorphism]
+) -> list[bool]:
+    """For each beta2 of the family, the cocartesian universal property of a
+    crossed-extension lift: the tests over every beta2.beta and the
+    candidates over every beta2 are one search each."""
+    totals = [compose_morphisms(beta2, lift.beta) for beta2 in beta2s]
+    tests = xext_morphisms_over(lift.dom, g, totals)
+    candidates = xext_morphisms_over(lift.cod, g, beta2s)
+    return [_factor_once(
+        [np.concatenate([h.f2.map, h.f1.map]) for h in hs],
+        [np.concatenate([u.f2.map[lift.f2.map], u.f1.map[lift.f1.map]]) for u in us],
+    ) for hs, us in zip(tests, candidates)]
 
 
 def jointly_generate_square(b) -> bool:

@@ -394,11 +394,9 @@ def suite_pushforward_cokernel(seed: int = 0) -> list[CheckResult]:
                 _checked_extension(sq.source, product)
                 _checked_extension(sq.target, m)
                 for g in cat[:2]:
-                    for b2 in betas[:4]:
-                        require(check_cocartesian_extension(
-                            sq, sq.source, g, b2
-                        ), "composite square is not cocartesian")
-                        n += 1
+                    verdicts = check_cocartesian_extension(sq, sq.source, g, betas[:4])
+                    require(all(verdicts), "composite square is not cocartesian")
+                    n += len(verdicts)
             return f"{n} factorization checks"
         _check(out, f"h3:compose-square-is-pushforward:{name}", square)
     return out
@@ -426,11 +424,10 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
                     lift = pushforward_extension(src, beta)
                     _checked_extension(lift.target, beta.cod)
                     for g in h2_catalog(m2)[:2]:
-                        for b2 in all_module_morphisms(m2, m2)[:2]:
-                            require(check_cocartesian_extension(
-                                lift, src, g, b2
-                            ), f"dim-1 lift fails UP ({n1} -> {n2})")
-                            n += 1
+                        verdicts = check_cocartesian_extension(
+                            lift, src, g, all_module_morphisms(m2, m2)[:2])
+                        require(all(verdicts), f"dim-1 lift fails UP ({n1} -> {n2})")
+                        n += len(verdicts)
         return f"{n} factorization checks"
     _check(out, "h2:pushforward:cocartesian-universal-property", dim1)
 
@@ -449,11 +446,10 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
                     require(valid.module == beta.cod, "pushforward misses the target module")
                     build_xext_morphism(src, valid, beta, lift.f2, lift.f1)
                     for g in [result, unit_xext(m2)]:
-                        for b2 in all_module_morphisms(m2, m2)[:2]:
-                            require(check_cocartesian_xext(
-                                lift, g, b2
-                            ), f"dim-2 lift fails UP ({n1} -> {n2})")
-                            n += 1
+                        verdicts = check_cocartesian_xext(
+                            lift, g, all_module_morphisms(m2, m2)[:2])
+                        require(all(verdicts), f"dim-2 lift fails UP ({n1} -> {n2})")
+                        n += len(verdicts)
         return f"{n} factorization checks"
     _check(out, "h3:pushforward:cocartesian-universal-property", dim2)
 
@@ -472,11 +468,10 @@ def suite_opfibration(seed: int = 0) -> list[CheckResult]:
                 _checked_extension(pl.target, product)
                 _checked_morphism(pl.beta)
                 tgt = extension_product(l1.target, l1.target)
-                for b2 in all_module_morphisms(pl.beta.cod, pl.beta.cod)[:2]:
-                    require(check_cocartesian_extension(
-                        pl, pl.source, tgt, b2
-                    ), f"product of lifts fails UP over {name}")
-                    n += 1
+                verdicts = check_cocartesian_extension(
+                    pl, pl.source, tgt, all_module_morphisms(pl.beta.cod, pl.beta.cod)[:2])
+                require(all(verdicts), f"product of lifts fails UP over {name}")
+                n += len(verdicts)
         return f"{n} factorization checks"
     _check(out, "h2:pushforward:product-of-lifts-cocartesian", products)
 

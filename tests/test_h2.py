@@ -109,7 +109,7 @@ def test_pushforward_is_cocartesian(z2_z2_triv):
 
     beta = identity_morphism(z2_z2_triv)
     lift = pushforward_extension(e, beta)
-    assert check_cocartesian_extension(lift, e, lift.target, beta)
+    assert check_cocartesian_extension(lift, e, lift.target, [beta]) == [True]
     # there are morphisms over beta to factor through in the first place
     assert extension_morphisms_over(e, lift.target, beta)
 
@@ -127,20 +127,22 @@ def test_cocartesian_check_counts_one_factorisation(z2_z2_triv, z2_z3_inv):
         candidates = extension_morphisms_over(lift.target, g, beta2)
         return all(sum(compose(u, lift.mid) == h for u in candidates) == 1 for h in tests)
 
-    verdicts = set()
+    verdicts, mixed = set(), 0
     for m in (z2_z2_triv, z2_z3_inv):
         unit = unit_extension(m)
-        # a square over beta = 0 that claims beta = id: nothing factors through it
+        # a square over beta = 0 that claims beta = id: only beta2 = 0 factors through it
         split = build_hom(unit.middle, unit.middle, unit.quotient_arrow.map)
         fake = ExtensionLift(source=unit, beta=identity_morphism(m), mid=split, target=unit)
-        for beta in all_module_morphisms(m, m):
+        family = all_module_morphisms(m, m)
+        for beta in family:
             lift = pushforward_extension(unit, beta)
             for square, g in ((lift, lift.target), (lift, unit), (fake, unit)):
-                for b2 in all_module_morphisms(m, m):
-                    got = check_cocartesian_extension(square, unit, g, b2)
-                    assert got == candidate_count(square, unit, g, b2)
-                    verdicts.add(got)
-    assert verdicts == {True, False}
+                got = check_cocartesian_extension(square, unit, g, family)
+                assert got == [candidate_count(square, unit, g, b2) for b2 in family]
+                verdicts.update(got)
+                mixed += len(set(got)) == 2
+    assert verdicts == {True, False} and mixed > 0
+    assert check_cocartesian_extension(fake, unit, unit, []) == []
     assert not _factor_once([[0, 1]], [[0, 1], [0, 1]])
     assert _factor_once([[0, 1]], [[0, 1], [1, 1]])
     assert not _factor_once([[0, 1]], [])
@@ -211,12 +213,27 @@ def catalog_sweep():
 
 
 def test_search_matches_the_candidate_loop(catalog_sweep):
+    """One family search per (e, g), beta by beta, and its one-beta case."""
+    from bfly.extensions import _morphisms_over
+
     assert len(catalog_sweep) == 862
+    families = {}
     for e, g, beta in catalog_sweep:
-        got = extension_morphisms_over(e, g, beta)
-        want = reference_morphisms_over(e, g, beta)
-        assert [m.map.tolist() for m in got] == [m.map.tolist() for m in want]
-        assert all(m.dom == e.middle and m.cod == g.middle for m in got)
+        families.setdefault((id(e), id(g)), (e, g, []))[2].append(beta)
+    differ = 0
+    for e, g, betas in families.values():
+        which, mids = _morphisms_over(e, g, betas)
+        assert which.tolist() == sorted(which.tolist())
+        found = []
+        for k, beta in enumerate(betas):
+            want = [m.map.tolist() for m in reference_morphisms_over(e, g, beta)]
+            assert mids[which == k].tolist() == want
+            got = extension_morphisms_over(e, g, beta)
+            assert [m.map.tolist() for m in got] == want
+            assert all(m.dom == e.middle and m.cod == g.middle for m in got)
+            found.append(want)
+        differ += len(betas) > 1 and found[0] != found[1]
+    assert len(families) < len(catalog_sweep) and differ > 0
 
 
 def test_search_is_a_torsor_that_exists_by_class(catalog_sweep):

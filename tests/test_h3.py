@@ -192,22 +192,59 @@ def test_xext_search_matches_the_pair_loop():
 
     from bfly.butterflies import product_xext_with_data
 
-    found = 0
+    found, differ = 0, 0
     for name, m, entries in _xext_sweep():
         prod = product_xext_with_data(entries[0][1], entries[1][1]).xext
-        for beta in all_module_morphisms(m, m)[:2]:
-            for (en, e), (gn, g) in itertools.product(entries, repeat=2):
-                got = xext_morphisms_over(e, g, beta)
+        betas = all_module_morphisms(m, m)[:2]
+        for (en, e), (gn, g) in itertools.product(entries, repeat=2):
+            family = xext_morphisms_over(e, g, betas)
+            assert len(family) == len(betas)
+            for got, beta in zip(family, betas):
                 want = ref_xext_morphisms_over(e, g, beta)
                 assert [(f.f1.map.tolist(), f.f2.map.tolist()) for f in got] == [
                     (f.f1.map.tolist(), f.f2.map.tolist()) for f in want], (name, en, gn)
-                assert got == want
+                assert got == want and all(f.beta is beta for f in got)
                 found += len(got)
-        for beta in all_module_morphisms(prod.module, prod.module)[:2]:
-            got = xext_morphisms_over(prod, prod, beta)
-            assert got == ref_xext_morphisms_over(prod, prod, beta), name
-            found += len(got)
-    assert found > 0
+            differ += len(family) > 1 and family[0] != family[1]
+        pbetas = all_module_morphisms(prod.module, prod.module)[:2]
+        got = xext_morphisms_over(prod, prod, pbetas)
+        assert got == [ref_xext_morphisms_over(prod, prod, beta) for beta in pbetas], name
+        found += sum(map(len, got))
+    assert found > 0 and differ > 0
+    assert xext_morphisms_over(prod, prod, []) == []
+
+
+def test_xext_cocartesian_check_counts_one_factorisation():
+    """Per-beta2 verdicts of one family call against a candidate-by-candidate count."""
+    from bfly.actions import all_module_morphisms, compose_morphisms, identity_morphism
+    from bfly.butterflies import XExtMorphism, pushforward_xext, unit_xext
+    from bfly.catalog import standard_modules
+    from bfly.groups import compose, identity_hom, zero_hom
+    from bfly.universal import check_cocartesian_xext
+    from reference_loops import ref_xext_morphisms_over
+
+    def candidate_count(lift, g, beta2):
+        tests = ref_xext_morphisms_over(lift.dom, g, compose_morphisms(beta2, lift.beta))
+        candidates = ref_xext_morphisms_over(lift.cod, g, beta2)
+        return all(sum(compose(u.f2, lift.f2) == h.f2 and compose(u.f1, lift.f1) == h.f1
+                       for u in candidates) == 1 for h in tests)
+
+    verdicts, mixed = set(), 0
+    for name, m in standard_modules()[:6]:
+        unit = unit_xext(m)
+        if unit.e2.order > 4:
+            continue
+        # a square over beta = 0 that claims beta = id
+        fake = XExtMorphism(unit, unit, identity_morphism(m), zero_hom(m.coeff, m.coeff),
+                            identity_hom(m.base))
+        family = all_module_morphisms(m, m)
+        for lift in [pushforward_xext(unit, beta)[1] for beta in family[:2]] + [fake]:
+            for g in (lift.cod, unit):
+                got = check_cocartesian_xext(lift, g, family)
+                assert got == [candidate_count(lift, g, b2) for b2 in family], name
+                verdicts.update(got)
+                mixed += len(set(got)) == 2
+    assert verdicts == {True, False} and mixed > 0
 
 
 def test_induced_modules_match_the_lift_loops():
@@ -497,6 +534,33 @@ def test_tensor_answers_under_the_default_cap():
     tensored = tensor_xext(u, u)
     assert tensored.e2.order == 32
     assert class_of_crossed_extension(tensored).is_zero()
+
+
+def test_pushforward_reads_its_action_on_the_coset_labels_only():
+    """The unit of trivial Z512 on Z512 pushed along the identity: the result
+    has |E2| = 512, and the action is never gathered on all of E1 x B' x E2
+    (a 1 GiB temporary), so the call answers under a 1.5 GB address space."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+        "from bfly.actions import identity_morphism, trivial_module\n"
+        "from bfly.butterflies import pushforward_xext, unit_xext\n"
+        "from bfly.cohomology import cyclic_group\n"
+        "m = trivial_module(cyclic_group(512), cyclic_group(512))\n"
+        "result, lift = pushforward_xext(unit_xext(m), identity_morphism(m))\n"
+        "print(result.e2.order, result.module == m)\n"
+    )
+    src = str(Path(pushforward_xext.__code__.co_filename).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["512", "True"]
 
 
 def test_composite_butterfly_answers_under_the_default_cap():
