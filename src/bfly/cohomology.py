@@ -450,6 +450,15 @@ def cohomology(module: CModule, degree: int) -> CohomologyGroup:
 # --- brute-force cross-check ----------------------------------------------
 
 
+def _free_tuples(module: CModule, degree: int) -> np.ndarray:
+    """Flat indices of the nonzero degree-tuples, refusing |B|^k over the cap."""
+    nb = module.coeff.order
+    free = np.flatnonzero(_nonzero_mask(module.base.order, degree))
+    if nb ** len(free) > BRUTE_FORCE_CAP:
+        raise SizeCap(f"{nb}^{len(free)} candidates exceed the brute-force cap")
+    return free
+
+
 def _candidate_matrix(module: CModule, degree: int) -> np.ndarray:
     """All normalized cochains as rows of row-major flattened values.
 
@@ -458,11 +467,9 @@ def _candidate_matrix(module: CModule, degree: int) -> np.ndarray:
     that holds B.
     """
     nc, nb = module.base.order, module.coeff.order
-    free = np.flatnonzero(_nonzero_mask(nc, degree))
+    free = _free_tuples(module, degree)
     k = len(free)
     total = nb ** k
-    if total > BRUTE_FORCE_CAP:
-        raise SizeCap(f"{nb}^{k} candidates exceed the brute-force cap")
     idx = np.arange(total, dtype=np.int64)
     out = np.zeros((total, nc ** degree), dtype=np.min_scalar_type(nb - 1))
     for pos, col in enumerate(free):
@@ -471,22 +478,34 @@ def _candidate_matrix(module: CModule, degree: int) -> np.ndarray:
 
 
 def _cocycles(module: CModule, degree: int) -> np.ndarray:
-    """Every normalized cocycle, as a row of _candidate_matrix.
+    """Every normalized cocycle, as a row of _candidate_matrix, in its order.
 
-    Candidates are filtered one coboundary column at a time, so no
-    candidates x targets matrix is ever built.  The columns of tuples with
-    no zero entry come first: normalized cochains form a subcomplex of the
-    bar complex (Brown, *Cohomology of Groups*, I.5 and IV.2), so the other
-    columns vanish on every candidate and only cost time while many remain.
-    Every column is still checked.
+    The nonzero tuples are assigned one at a time in row-major order: each
+    step repeats every partial cochain |B| times and gives the new tuple
+    each value of B as the least significant digit, so the rows stay in
+    candidate order.  A coboundary column is checked, and its failing rows
+    dropped, at the step that assigns the last nonzero tuple its faces
+    read; the columns whose faces read none are checked on the zero
+    cochain before the first step.  Every column is checked exactly once,
+    so the count does not lean on the solver, and no row is built for a
+    partial cochain that an assigned column already rules out.
     """
-    v = _candidate_matrix(module, degree)
-    constraining = _nonzero_mask(module.base.order, degree + 1)
-    for col in np.concatenate([np.flatnonzero(constraining), np.flatnonzero(~constraining)]):
-        keep = _coboundary_values(module, degree, v, [col])[:, 0] == 0
-        if not keep.all():
-            v = v[keep]
-    return v
+    nc, nb = module.base.order, module.coeff.order
+    free = _free_tuples(module, degree)
+    faces, _ = _faces(module.base, degree)
+    step = np.full(nc ** degree, -1)
+    step[free] = np.arange(len(free))
+    ready = step[faces].max(axis=1)     # the step after which a column is known
+    rows = np.zeros((1, nc ** degree), dtype=np.min_scalar_type(nb - 1))
+    digits = np.arange(nb, dtype=rows.dtype)
+    for pos in range(-1, len(free)):
+        if pos >= 0:
+            rows = np.repeat(rows, nb, axis=0)
+            rows[:, free[pos]] = np.tile(digits, len(rows) // nb)
+        cols = np.flatnonzero(ready == pos)
+        if len(cols):
+            rows = rows[~_coboundary_values(module, degree, rows, cols).any(axis=1)]
+    return rows
 
 
 def _distinct_rows(rows: np.ndarray) -> int:

@@ -24,10 +24,14 @@ from .errors import (
     NotAssociative,
     NotHomomorphism,
     OrderCapExceeded,
+    SizeCap,
     require,
 )
 
 DEFAULT_ORDER_CAP = 512
+# the cells of the candidate array of a homomorphism search, 16 times the
+# largest array the tests build (65,536 rows of 16 values)
+_HOM_SEARCH_CELLS = 1 << 24
 _order_cap = DEFAULT_ORDER_CAP
 
 
@@ -554,7 +558,8 @@ def _hom_rows(g: FiniteGroup, h: FiniteGroup) -> np.ndarray:
     takes its column in one gather, and an edge a + g_k that lands on a
     known element drops the rows where the two values disagree.  A row
     that survives every edge of the Cayley graph is a homomorphism; the
-    survivors are still checked against the definition.
+    survivors are still checked against the definition.  A step whose
+    candidate array would pass _HOM_SEARCH_CELLS raises SizeCap.
     """
     h_orders = np.asarray([h.element_order(x) for x in h.elements()])
     rows = np.full((1, g.order), -1, dtype=np.int64)
@@ -566,6 +571,9 @@ def _hom_rows(g: FiniteGroup, h: FiniteGroup) -> np.ndarray:
         gen = int(np.argmin(known))
         gens.append(gen)
         images = np.flatnonzero(g.element_order(gen) % h_orders == 0)
+        if len(rows) * len(images) * g.order > _HOM_SEARCH_CELLS:
+            raise SizeCap(f"{len(rows) * len(images)} candidate homomorphisms of {g.order} "
+                          f"values exceed the search cap of {_HOM_SEARCH_CELLS} cells")
         rows = np.repeat(rows, len(images), axis=0)
         rows[:, gen] = np.tile(images, len(rows) // len(images))
         known[gen] = True

@@ -540,6 +540,40 @@ def test_hom_memo_is_bounded():
     assert _hom_rows.cache_info().maxsize is not None
 
 
+def test_hom_search_refuses_aut_of_a_relabelled_z2_to_the_fifth():
+    """Aut(Z2^5) through Hom(B, B) would be 32^5 rows of 32 values, 8 GiB;
+    the walk refuses before it repeats its rows past the search cap."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from bfly import groups
+
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2048 << 20, 2048 << 20))\n"
+        "from bfly.catalog import all_actions\n"
+        "from bfly.cohomology import cyclic_group\n"
+        "from bfly.errors import SizeCap\n"
+        "from conftest import relabelled\n"
+        "from reference_loops import ref_mixed_radix_group\n"
+        "b = relabelled(ref_mixed_radix_group((2,) * 5), 0)\n"
+        "try:\n"
+        "    all_actions(cyclic_group(2), b)\n"
+        "except SizeCap as err:\n"
+        "    print('SizeCap', len(str(err).splitlines()))\n"
+    )
+    src = Path(groups.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests}",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["SizeCap", "1"]
+
+
 def test_each_pair_is_walked_once_per_process(monkeypatch):
     """During h2-pi1 the walk and its homs_violation check run once per pair of tables.
 

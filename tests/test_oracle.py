@@ -612,26 +612,87 @@ def test_cocycles_match_the_row_major_loop(modules):
     assert n == 22 * 2 + 5 + 3     # degrees 1 and 2 everywhere, 3 over Z2 and Z3
 
 
-def test_cocycles_checks_every_column_constraining_ones_first(modules, monkeypatch):
-    """Tuples with a zero entry drop no normalized candidate; they are still
-    checked, after the tuples that can drop one."""
+def test_cocycles_checks_each_column_once_when_its_faces_are_assigned(modules, monkeypatch):
+    """Every coboundary column is checked exactly once, on the rows of the
+    step that assigns the last nonzero tuple its faces read; columns whose
+    faces read none are checked on the zero cochain before the first step."""
     import bfly.cohomology as coh
 
-    checked = []
+    calls = []
     real = coh._coboundary_values
 
     def spy(module, degree, rows, cols=slice(None)):
-        checked.extend(int(c) for c in cols)
+        calls.append((np.asarray(cols).tolist(), rows.copy()))
         return real(module, degree, rows, cols)
 
     monkeypatch.setattr(coh, "_coboundary_values", spy)
     mods = dict(modules)
     for name, degree in [("Z3-Z4-a0", 3), ("K4-Z2-a0", 2), ("Z4-Z3-a1", 1)]:
         m = mods[name]
-        checked.clear()
+        calls.clear()
         coh._cocycles(m, degree)
-        mask = coh._nonzero_mask(m.base.order, degree + 1)
-        assert checked == np.flatnonzero(mask).tolist() + np.flatnonzero(~mask).tolist()
+        nc = m.base.order
+        free = np.flatnonzero(coh._nonzero_mask(nc, degree))
+        pos = {int(t): p for p, t in enumerate(free)}
+        faces, _ = coh._faces(m.base, degree)
+        checked = []
+        for cols, rows in calls:
+            # tuples after the step are still 0; the step's own tuple takes every value
+            assigned = [p for p, t in enumerate(free) if rows[:, t].any()]
+            step = max(assigned, default=-1)
+            for col in cols:
+                assert max((pos.get(int(f), -1) for f in faces[col]), default=-1) == step, (
+                    name, col)
+            checked.extend(cols)
+        assert sorted(checked) == list(range(nc ** (degree + 1))), name
+        assert len(checked) == nc ** (degree + 1), name
+        assert calls[0][1].shape[0] == 1 and not calls[0][1].any(), name
+
+
+def test_cocycles_grow_partial_cochains_without_the_candidate_matrix(modules, monkeypatch):
+    """Pruning keeps every coboundary call small: 1,024 rows at most on the
+    two largest systems under the cap, where the candidate matrix has
+    262,144 and 65,536 rows."""
+    import bfly.cohomology as coh
+
+    seen = []
+    real = coh._coboundary_values
+
+    def spy(module, degree, rows, cols=slice(None)):
+        seen.append(len(rows))
+        return real(module, degree, rows, cols)
+
+    def refuse(module, degree):
+        raise AssertionError("_cocycles built the candidate matrix")
+
+    monkeypatch.setattr(coh, "_coboundary_values", spy)
+    monkeypatch.setattr(coh, "_candidate_matrix", refuse)
+    mods = dict(modules)
+    for name, degree in [("K4-Z4-a1", 2), ("Z3-Z4-a0", 3)]:
+        seen.clear()
+        coh._cocycles(mods[name], degree)
+        assert seen and max(seen) <= 4096, (name, max(seen))
+
+
+def test_cocycles_match_the_loop_and_the_solver_beyond_the_catalog(s3):
+    """Every action of S3 on Z2 and Z3, of K4 on K4, of Z5 on Z2 and of Z2
+    and Z3 on Z2 x Z2: 43 systems outside the standard modules."""
+    from bfly.actions import build_cmodule
+    from bfly.catalog import all_actions
+
+    z2, z3, k4 = cyclic_group(2), cyclic_group(3), ref_mixed_radix_group((2, 2))
+    systems = [(s3, z2, (1,)), (s3, cyclic_group(3), (1,)), (k4, k4, (1, 2)),
+               (cyclic_group(5), z2, (1, 2)), (z2, k4, (1, 2, 3)), (z3, k4, (1, 2))]
+    n = 0
+    for c, b, degrees in systems:
+        for act in all_actions(c, b):
+            m = build_cmodule(c, b, act.act)
+            for degree in degrees:
+                got, want = _cocycles(m, degree), ref_cocycles(m, degree)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (degree, act.act)
+                assert cohomology(m, degree).order == cohomology_brute(m, degree)
+                n += 1
+    assert n == 43
 
 
 def test_vector_and_cochain_gathers_match_the_loops(modules):
