@@ -7,6 +7,8 @@ sides independent so each can validate the other.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from .actions import CModuleMorphism
@@ -102,10 +104,38 @@ def cocycle_of_extension(
     return build_cochain(ext.module, 2, vals)
 
 
+# (module, extension) -> the class read from the least-index sections, for
+# extensions of degree 2 and 3, least recently used first.  Extensions
+# compare by their arrows, so the module is part of the key.
+_CLASSES: OrderedDict = OrderedDict()
+_CLASSES_BOUND = 256
+
+
+def _recall(key) -> CocycleClass | None:
+    cls = _CLASSES.get(key)
+    if cls is not None:
+        _CLASSES.move_to_end(key)
+    return cls
+
+
+def _remember(key, cls: CocycleClass) -> None:
+    _CLASSES[key] = cls
+    if len(_CLASSES) > _CLASSES_BOUND:
+        _CLASSES.popitem(last=False)
+
+
 def class_of_extension(
     ext: AbelianExtension, rng: np.random.Generator | None = None
 ) -> CocycleClass:
-    return cohomology(ext.module, 2).classify(cocycle_of_extension(ext, rng))
+    """The class of ext's 2-cocycle; without rng, computed once per value."""
+    if rng is not None:
+        return cohomology(ext.module, 2).classify(cocycle_of_extension(ext, rng))
+    key = (ext.module, ext)
+    cls = _recall(key)
+    if cls is None:
+        cls = cohomology(ext.module, 2).classify(cocycle_of_extension(ext))
+        _remember(key, cls)
+    return cls
 
 
 def _crossed_cocycle_rows(
@@ -162,19 +192,37 @@ def classes_of_crossed_extensions(
     extension, as successive one-row calls give them and with the same
     draws.  The rows are classified before a failing row is reported, so
     the stack raises what the one-row path raises for its first failing row.
+    Without rng and with one row each, the classes come from the memo and
+    each distinct miss is extracted and classified once; a call that
+    raises stores nothing.
     """
     module = exts[0].module
-    stacks, failure = [], None
+    memo = rng is None and count == 1
+    found = {}                                  # extension -> class, or None if missed
+    stacks, misses, failure = [], [], None
     for e in exts:
         if e.module != module:
             raise ModuleMismatch("crossed extensions over different modules")
+        if memo:
+            if e in found:
+                continue
+            found[e] = _recall((module, e))
+            if found[e] is not None:
+                continue
         rows, failure = _crossed_cocycle_rows(e, rng, count)
         stacks.append(rows)
+        misses.append(e)
         if failure is not None:
             break
-    classes = cohomology(module, 3).classify_rows(np.concatenate(stacks))
-    require(failure is None, failure)
-    return classes
+    if stacks:
+        classes = cohomology(module, 3).classify_rows(np.concatenate(stacks))
+        require(failure is None, failure)
+        if not memo:
+            return classes
+        for e, cls in zip(misses, classes):
+            found[e] = cls
+            _remember((module, e), cls)
+    return [found[e] for e in exts]
 
 
 def class_of_crossed_extension(

@@ -66,6 +66,22 @@ def coinduced_xext(module, coords):
     return build_crossed_extension(iota, xm, ext.quotient_arrow)
 
 
+@pytest.fixture
+def empty_class_memo(monkeypatch):
+    """The bridges' class memo, empty for this test and restored after it.
+
+    A test that patches the solver or the bridges takes this, so no class
+    memoized before the patch answers under it, and none computed under it
+    outlives the test.
+    """
+    from collections import OrderedDict
+
+    import bfly.bridges as bridges
+
+    monkeypatch.setattr(bridges, "_CLASSES", OrderedDict())
+    return bridges._CLASSES
+
+
 @pytest.fixture(scope="session")
 def z2():
     return cyclic_group(2)

@@ -110,7 +110,7 @@ def test_decomposition_matches_the_divisor_chain_search(s3):
         assert str(err.value) == "no cyclic decomposition found (group not abelian?)"
 
 
-def test_decomposition_needs_no_hom_search(monkeypatch, tmp_path, capsys):
+def test_decomposition_needs_no_hom_search(monkeypatch, tmp_path, capsys, empty_class_memo):
     """Relabelled Z2^5 and Z2xZ4xZ4 split without listing Hom(model, B).
 
     On Z2^5 that list has 32^5 rows of 32 values, about 8 GiB.
@@ -149,7 +149,7 @@ def test_cohomology_cache_is_keyed_by_value():
     assert cohomology(a, 2) is cohomology(b, 2)
 
 
-def test_cohomology_groups_compare_and_hash_by_value(monkeypatch):
+def test_cohomology_groups_compare_and_hash_by_value(monkeypatch, empty_class_memo):
     """Two computations of one group are equal, hash alike, and so do their classes."""
     import bfly.cohomology as coh
 
@@ -600,6 +600,126 @@ def test_stack_raises_what_the_one_row_path_raises_first(modules):
         outside_j, outside_j)
 
 
+def test_memoized_classes_equal_fresh_classifications(modules, empty_class_memo):
+    """Every extension of h2_catalog and h3_catalog of the 22 modules: its
+    class from the memo equals a classification made with the memo emptied,
+    and the memo holds one entry per distinct (module, extension)."""
+    exts2 = [(m, e) for _, m in modules for e in h2_catalog(m)]
+    exts3 = [(m, [e for _, e in h3_catalog(m, modules)]) for _, m in modules]
+    memo2 = [class_of_extension(e) for _, e in exts2]
+    memo3 = [classes_of_crossed_extensions(es) for _, es in exts3]
+    keys = set(exts2) | {(m, e) for m, es in exts3 for e in es}
+    assert set(empty_class_memo) == keys and len(empty_class_memo) == len(keys)
+    # the second call of each is answered from the memo
+    assert all(class_of_extension(e) is c for (_, e), c in zip(exts2, memo2))
+    for (_, es), cs in zip(exts3, memo3):
+        assert all(a is b for a, b in zip(classes_of_crossed_extensions(es), cs))
+        assert all(class_of_crossed_extension(e) is c for e, c in zip(es, cs))
+    empty_class_memo.clear()
+    for (m, e), c in zip(exts2, memo2):
+        assert c == cohomology(m, 2).classify(cocycle_of_extension(e))
+    for (m, es), cs in zip(exts3, memo3):
+        assert cs == [cohomology(m, 3).classify(cocycle_of_crossed_extension(e)) for e in es]
+    assert not empty_class_memo
+
+
+def test_seeded_calls_draw_as_before_and_store_nothing(modules, empty_class_memo):
+    """With an rng the classes are what classifying the seeded cocycles
+    gives, draw for draw, whether or not the memo holds the extension."""
+    mods = dict(modules)
+    m2, m3 = mods["Z2-Z4-a0"], mods["Z3-Z3-a0"]
+    ext = h2_catalog(m2)[1]
+    xexts = [coinduced_xext(m3, (1,)), coinduced_xext(m3, (2,))]
+
+    def seeded_calls():
+        for seed in (1, 2, 3):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            got = class_of_extension(ext, rngs[0])
+            assert got == cohomology(m2, 2).classify(cocycle_of_extension(ext, rngs[1]))
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            got = classes_of_crossed_extensions(xexts, rngs[0])
+            got.append(class_of_crossed_extension(xexts[0], rngs[0]))
+            rows = [_crossed_cocycle_rows(e, rngs[1], 1) for e in xexts + xexts[:1]]
+            assert all(failure is None for _, failure in rows)
+            assert got == cohomology(m3, 3).classify_rows(np.concatenate([r for r, _ in rows]))
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    seeded_calls()
+    assert not empty_class_memo
+    class_of_extension(ext)
+    classes_of_crossed_extensions(xexts)
+    before = list(empty_class_memo.items())
+    seeded_calls()
+    assert list(empty_class_memo.items()) == before
+
+
+def test_failing_extensions_raise_on_every_call_and_are_never_stored(
+        modules, empty_class_memo):
+    mods = dict(modules)
+    # the nonzero Z2-Z4 class read in the twisted module is no cocycle there
+    misread = dataclasses.replace(h2_catalog(mods["Z2-Z4-a0"])[1], module=mods["Z2-Z4-a1"])
+    # the least-index sections of the spliced class, cut off from j(B)
+    m = mods["Z2-Z2-a0"]
+    spliced = dict(h3_catalog(m, modules))["spliced-nontrivial"]
+    cut = dataclasses.replace(spliced, j=_hom(trivial_group(), spliced.e2, [0]))
+    unit = unit_xext(m)
+    not_cocycle = (NotACocycle, "not a cocycle")
+    outside_j = (LawViolation, "associativity defect outside j(B)")
+    # what the bridges raise without the memo
+    assert _failure(lambda: cohomology(misread.module, 2).classify(
+        cocycle_of_extension(misread))) == not_cocycle
+    assert _crossed_cocycle_rows(cut, None, 1)[1] == outside_j[1]
+    calls = [(lambda: class_of_extension(misread), not_cocycle),
+             (lambda: class_of_crossed_extension(cut), outside_j),
+             (lambda: classes_of_crossed_extensions([unit, cut]), outside_j)]
+    for call, want in calls:
+        for _ in range(3):
+            assert _failure(call) == want
+        assert not empty_class_memo
+    # a memoized class in the stack does not change what it raises
+    class_of_crossed_extension(unit)
+    assert _failure(lambda: classes_of_crossed_extensions([unit, cut])) == outside_j
+    assert list(empty_class_memo) == [(m, unit)]
+
+
+def test_class_memo_evicts_its_least_recent_entry_past_the_bound(
+        modules, monkeypatch, empty_class_memo):
+    import bfly.bridges as bridges
+
+    monkeypatch.setattr(bridges, "_CLASSES_BOUND", 2)
+    a, b, c = [e for _, m in modules[:3] for e in h2_catalog(m)][:3]
+    for e in (a, b, a, c):
+        class_of_extension(e)
+    assert [e for _, e in empty_class_memo] == [a, c]
+    class_of_extension(b)
+    assert [e for _, e in empty_class_memo] == [c, b]
+    # the distinct misses of a stack are stored in its order
+    named = dict(h3_catalog(dict(modules)["Z2-Z2-a0"], modules))
+    xs = [named[k] for k in ("unit", "tensor-unit-unit", "spliced-trivial", "spliced-nontrivial")]
+    assert xs[0] == xs[1]
+    classes_of_crossed_extensions(xs)
+    assert [e for _, e in empty_class_memo] == xs[2:]
+
+
+def test_the_same_extension_with_another_module_misses(modules, empty_class_memo):
+    mods = dict(modules)
+    m, twisted = mods["Z4-Z3-a0"], mods["Z4-Z3-a1"]
+    for ext, classify in ((unit_extension(m), class_of_extension),
+                          (unit_xext(m), class_of_crossed_extension)):
+        here = classify(ext)
+        carried = dataclasses.replace(ext, module=twisted)
+        assert carried == ext                   # extensions compare by their arrows
+        there = classify(carried)
+        assert here.group.module == m and there.group.module == twisted
+        assert there != here and classify(carried) is there
+    assert len(empty_class_memo) == 4
+    ext = h2_catalog(mods["Z2-Z4-a0"])[1]
+    class_of_extension(ext)
+    misread = dataclasses.replace(ext, module=mods["Z2-Z4-a1"])
+    assert _failure(lambda: class_of_extension(misread)) == (NotACocycle, "not a cocycle")
+
+
 def test_cocycles_match_the_row_major_loop(modules):
     n = 0
     for name, m in modules:
@@ -612,7 +732,8 @@ def test_cocycles_match_the_row_major_loop(modules):
     assert n == 22 * 2 + 5 + 3     # degrees 1 and 2 everywhere, 3 over Z2 and Z3
 
 
-def test_cocycles_checks_each_column_once_when_its_faces_are_assigned(modules, monkeypatch):
+def test_cocycles_checks_each_column_once_when_its_faces_are_assigned(
+        modules, monkeypatch, empty_class_memo):
     """Every coboundary column is checked exactly once, on the rows of the
     step that assigns the last nonzero tuple its faces read; columns whose
     faces read none are checked on the zero cochain before the first step."""
@@ -649,7 +770,8 @@ def test_cocycles_checks_each_column_once_when_its_faces_are_assigned(modules, m
         assert calls[0][1].shape[0] == 1 and not calls[0][1].any(), name
 
 
-def test_cocycles_grow_partial_cochains_without_the_candidate_matrix(modules, monkeypatch):
+def test_cocycles_grow_partial_cochains_without_the_candidate_matrix(
+        modules, monkeypatch, empty_class_memo):
     """Pruning keeps every coboundary call small: 1,024 rows at most on the
     two largest systems under the cap, where the candidate matrix has
     262,144 and 65,536 rows."""

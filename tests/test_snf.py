@@ -526,7 +526,7 @@ def test_classify_matches_solving_against_the_adapted_basis():
             assert group.classify(f).coords == direct(group, f)
 
 
-def test_cohomology_pipeline_matches_reference_elimination(monkeypatch):
+def test_cohomology_pipeline_matches_reference_elimination(monkeypatch, empty_class_memo):
     """Every group cohomology() makes for the standard modules, in degrees
     1..3, is the same when the cell-by-cell elimination replaces the SNF."""
     import bfly.cohomology as coh
@@ -558,7 +558,7 @@ def test_cohomology_pipeline_matches_reference_elimination(monkeypatch):
                                   getattr(want._basis_snf, name)), name
 
 
-def test_cohomology_eliminates_three_matrices_per_group(monkeypatch):
+def test_cohomology_eliminates_three_matrices_per_group(monkeypatch, empty_class_memo):
     """The kernel of [d | moduli], the cocycle lattice and the coboundaries
     in its basis; the lattice's elimination also factors the basis, the
     kernel's carries only the rows of V of the unknowns, and a cached group
